@@ -1,18 +1,35 @@
 """
-Budgeted semi-decision procedures for word triviality, subgroup membership
-and double-coset membership in finite presentations.
+One budgeted semi-decision procedure for double-coset membership in finite
+presentations: does a word w lie in H2·H1 for finitely generated subgroups
+H1, H2?  Word triviality is the question w ∈ 1·1 (`decide_word` answers
+"is w nontrivial?", the negation) and subgroup membership is w ∈ 1·H.
 
-Every verdict is three-valued; a yes or no always carries a certificate
-that an independent checker can replay (abelianisation invariants, a
-rewriting trace, a completed coset table, a finite quotient, or an
-explicit factorisation).  Unknown carries the exhausted budget.  All
-searches are deterministic and ordered, so a definite verdict at some
-budget is returned unchanged at any larger budget.
+The cascade, first conclusive step wins: the empty word is a member;
+abelianisation; bounded factorisation w = p2·p1; a rewriting search to the
+empty word (only when both subgroups are trivial); a completed coset table
+for H1 (or for H2 with the inverse word); separation in a finite quotient.
+
+Every verdict is three-valued.  A yes or no carries a certificate that
+`replay_double_coset_verdict` checks independently; its "kind" is one of
+
+* "factorization" (yes): signed factor lists "h2_factors", "h1_factors"
+  whose product freely reduces to w; both empty for the empty word;
+* "abelianization" (no): "image", the exponent vector of w, lies outside
+  the integer span of the subgroups' and relators' exponent vectors;
+* "rewriting_trace" (yes): "trace", cyclic words from w to the empty word;
+* "coset_table" (either): a completed, verifiable "table" for H1 (or for
+  H2 when "swapped"), with "h2_inverse_factors" for a yes and the size of
+  the tested orbit "orbit_size" for a no;
+* "quotient_separation" (no): a homomorphism to S_"degree" given by
+  generator "images" that separates w from the image of H2·H1.
+
+Unknown carries "budget_exhausted" and the budget.  All searches are
+deterministic and ordered, so a definite verdict at some budget is
+returned unchanged at any larger budget.
 """
 from itertools import permutations
 
-from .presentation import (free_reduce, inverse_word, concat, cyclic_reduce,
-                           word_image)
+from .presentation import free_reduce, inverse_word, concat, cyclic_reduce
 from .snf import in_column_span
 from .coset import coset_enumeration
 
@@ -38,6 +55,11 @@ class Budget:
         self._values.update(kwargs)
 
     def __getattr__(self, key):
+        # private and dunder names are never budget keys; looking them up
+        # in _values would recurse while copy or pickle builds an instance
+        # that has no _values yet
+        if key.startswith("_"):
+            raise AttributeError(key)
         try:
             return self._values[key]
         except KeyError:
@@ -352,94 +374,65 @@ def _product_table(gens, depth, node_budget):
     return table
 
 
-# ---- the three deciders ----
+# ---- the decider ----
+
+_NEGATION = {"yes": "no", "no": "yes", "unknown": "unknown"}
+
+
+def _negated(verdict):
+    return GroupVerdict(_NEGATION[verdict.answer], verdict.certificate)
+
 
 def decide_word(presentation, word, budget=None):
-    """Is the word nontrivial in the presented group?"""
-    budget = budget or Budget()
-    word = free_reduce(word)
-    if not word:
-        return GroupVerdict("no", {"kind": "free_reduction"})
-    image = word_image(presentation, word)
-    if any(image):
-        return GroupVerdict("yes", {"kind": "abelianization",
-                                    "image": list(image)})
-    trace = rewrite_search(presentation, word, budget)
-    if trace is not None:
-        return GroupVerdict("no", {"kind": "rewriting_trace",
-                                   "trace": [list(w) for w in trace]})
-    table = coset_enumeration(presentation, max_cosets=budget.coset_nodes)
-    if table is not None:
-        endpoint = table.apply(0, word)
-        answer = "yes" if endpoint != 0 else "no"
-        return GroupVerdict(answer, {"kind": "coset_table",
-                                     "table": table.to_json(),
-                                     "coset": endpoint})
-    found, _complete = quotient_search(
-        presentation,
-        lambda n, images: ((n, images)
-                           if _evaluate(images, word, n) != tuple(range(n))
-                           else None),
-        budget)
-    if found:
-        n, images = found
-        return GroupVerdict("yes", {"kind": "finite_quotient", "degree": n,
-                                    "images": [list(p) for p in images]})
-    return GroupVerdict("unknown", {"kind": "budget_exhausted",
-                                    "budget": budget.to_json()})
+    """Is the word nontrivial in the presented group?  That is, is it
+    outside the double coset 1·1?"""
+    return _negated(decide_double_coset(presentation, (), (), word, budget))
 
 
 def decide_membership(presentation, subgroup_words, word, budget=None):
-    """Does the word lie in the subgroup generated by the given words?"""
-    budget = budget or Budget()
-    word = free_reduce(word)
-    subgroup_words = [free_reduce(h) for h in subgroup_words]
-    # abelianisation: image of word must lie in the span of the subgroup
-    # images and the relator lattice
-    columns = ([presentation.exponent_vector(h) for h in subgroup_words]
-               + presentation.relator_matrix())
-    target = presentation.exponent_vector(word)
-    if not in_column_span(columns, target):
-        return GroupVerdict("no", {"kind": "abelianization",
-                                   "image": list(target)})
-    table6 = _product_table(subgroup_words, budget.factor_depth,
-                            budget.factor_nodes)
-    if word in table6:
-        return GroupVerdict("yes", {"kind": "factorization",
-                                    "factors": table6[word]})
-    table = coset_enumeration(presentation, subgroup_words,
-                              max_cosets=budget.coset_nodes)
-    if table is not None:
-        endpoint = table.apply(0, word)
-        answer = "yes" if endpoint == 0 else "no"
-        return GroupVerdict(answer, {"kind": "coset_table",
-                                     "table": table.to_json(),
-                                     "coset": endpoint})
-    found, _complete = quotient_search(
-        presentation,
-        lambda n, images: _membership_separation(n, images, subgroup_words,
-                                                 word),
-        budget)
-    if found:
-        n, images, endpoint = found
-        return GroupVerdict("no", {"kind": "quotient_separation",
-                                   "degree": n,
-                                   "images": [list(p) for p in images]})
-    return GroupVerdict("unknown", {"kind": "budget_exhausted",
-                                    "budget": budget.to_json()})
+    """Does the word lie in the subgroup generated by the given words, that
+    is, in the double coset 1·H?"""
+    return decide_double_coset(presentation, subgroup_words, (), word, budget)
 
 
-def _membership_separation(n, images, subgroup_words, word):
-    sub = subgroup_closure([_evaluate(images, h, n) for h in subgroup_words],
-                           n)
-    qw = _evaluate(images, word, n)
-    if qw not in sub:
-        return (n, images, qw)
-    return None
+def _abelian_columns(presentation, h1_words, h2_words):
+    """The lattice a member's exponent vector must lie in: the subgroups'
+    exponent vectors and the relators."""
+    return ([presentation.exponent_vector(h) for h in h1_words]
+            + [presentation.exponent_vector(h) for h in h2_words]
+            + presentation.relator_matrix())
+
+
+def _product(words, factors):
+    """The freely reduced product of the words named by signed 1-based
+    factors."""
+    out = ()
+    for f in factors:
+        h = words[abs(f) - 1]
+        out = concat(out, h if f > 0 else inverse_word(h))
+    return out
+
+
+def _orbit(table, words):
+    """The orbit of coset 0 under the subgroup generated by the words, in
+    breadth-first order: coset -> signed factors of a word x with
+    (H x) = that coset."""
+    orbit = {0: ()}
+    frontier = [0]
+    while frontier:
+        c = frontier.pop(0)
+        for gi, h in enumerate(words):
+            for sign in (1, -1):
+                d = table.apply(c, h if sign > 0 else inverse_word(h))
+                if d not in orbit:
+                    orbit[d] = orbit[c] + (sign * (gi + 1),)
+                    frontier.append(d)
+    return orbit
 
 
 def decide_double_coset(presentation, h1_words, h2_words, word, budget=None):
-    """Does the word lie in the double coset H2 H1?"""
+    """Does the word lie in the double coset H2·H1?  The one group decider:
+    triviality and subgroup membership are the cases 1·1 and 1·H."""
     budget = budget or Budget()
     word = free_reduce(word)
     h1_words = [free_reduce(h) for h in h1_words]
@@ -447,11 +440,9 @@ def decide_double_coset(presentation, h1_words, h2_words, word, budget=None):
     if not word:
         return GroupVerdict("yes", {"kind": "factorization",
                                     "h2_factors": [], "h1_factors": []})
-    columns = ([presentation.exponent_vector(h) for h in h1_words]
-               + [presentation.exponent_vector(h) for h in h2_words]
-               + presentation.relator_matrix())
     target = presentation.exponent_vector(word)
-    if not in_column_span(columns, target):
+    if not in_column_span(_abelian_columns(presentation, h1_words, h2_words),
+                          target):
         return GroupVerdict("no", {"kind": "abelianization",
                                    "image": list(target)})
     # bounded literal factorisation: w = p2 * p1 after free reduction
@@ -463,37 +454,33 @@ def decide_double_coset(presentation, h1_words, h2_words, word, budget=None):
             return GroupVerdict("yes", {"kind": "factorization",
                                         "h2_factors": factors2,
                                         "h1_factors": t1[rest]})
-    # exact decision from a completed coset table for H1 (or symmetrically
-    # for H2 applied to the inverse question)
-    for subgroup, others, w, swap in (
-            (h1_words, h2_words, word, False),
-            (h2_words, h1_words, inverse_word(word), True)):
+    # with both subgroups trivial the question is triviality, which a
+    # rewriting trace to the empty word settles before any coset table
+    if not any(h1_words) and not any(h2_words):
+        trace = rewrite_search(presentation, word, budget)
+        if trace is not None:
+            return GroupVerdict("yes", {"kind": "rewriting_trace",
+                                        "trace": [list(w) for w in trace]})
+    # exact decision from a completed coset table for H1, or symmetrically
+    # for H2 applied to the inverse question (pointless when H2 is trivial)
+    attempts = [(h1_words, h2_words, word, False)]
+    if any(h2_words):
+        attempts.append((h2_words, h1_words, inverse_word(word), True))
+    for subgroup, others, w, swap in attempts:
         table = coset_enumeration(presentation, subgroup,
                                   max_cosets=budget.coset_nodes)
         if table is None:
             continue
         # w in H2 H1  <=>  some coset H1 x with x in H2 satisfies
-        # (H1 x) . w = H1; walk the orbit of coset 0 under H2
-        hits = {c for c in range(table.coset_count)
-                if table.apply(c, w) == 0}
-        orbit = {0: ()}
-        frontier = [0]
-        while frontier:
-            c = frontier.pop(0)
-            for gi, h in enumerate(others):
-                for sign in (1, -1):
-                    piece = h if sign > 0 else inverse_word(h)
-                    d = table.apply(c, piece)
-                    if d not in orbit:
-                        orbit[d] = orbit[c] + (sign * (gi + 1),)
-                        frontier.append(d)
-        common = hits.intersection(orbit)
-        if common:
-            c = min(common)
+        # (H1 x) . w = H1; only the orbit of coset 0 under H2 is tested
+        orbit = _orbit(table, others)
+        hits = [c for c in orbit if table.apply(c, w) == 0]
+        if hits:
             # orbit word x has the coset H1 x, so h2 = x^-1
             return GroupVerdict("yes", {"kind": "coset_table",
                                         "table": table.to_json(),
-                                        "h2_inverse_factors": list(orbit[c]),
+                                        "h2_inverse_factors":
+                                            list(orbit[min(hits)]),
                                         "swapped": swap})
         return GroupVerdict("no", {"kind": "coset_table",
                                    "table": table.to_json(),
@@ -505,7 +492,7 @@ def decide_double_coset(presentation, h1_words, h2_words, word, budget=None):
                                                    h2_words, word),
         budget)
     if found:
-        n, images = found[0], found[1]
+        n, images = found
         return GroupVerdict("no", {"kind": "quotient_separation",
                                    "degree": n,
                                    "images": [list(p) for p in images]})
@@ -535,79 +522,23 @@ def _rebuild_table(presentation, subgroup_words, cert):
     return table if table.verify() else None
 
 
-def _hom_ok(presentation, cert):
-    n = cert["degree"]
-    images = [tuple(p) for p in cert["images"]]
-    identity = tuple(range(n))
-    return all(_evaluate(images, r, n) == identity
-               for r in presentation.relators), n, images
-
-
 def replay_word_verdict(presentation, word, verdict):
     """Independent check of a decide_word yes/no certificate."""
-    word = free_reduce(word)
-    cert = verdict.certificate
-    kind = cert.get("kind")
-    if verdict.answer == "unknown":
-        return kind == "budget_exhausted"
-    if kind == "free_reduction":
-        return verdict.answer == "no" and not word
-    if kind == "abelianization":
-        return verdict.answer == "yes" and any(word_image(presentation,
-                                                          word))
-    if kind == "rewriting_trace":
-        return verdict.answer == "no" and replay_rewrite_trace(
-            presentation, word, cert["trace"])
-    if kind == "coset_table":
-        table = _rebuild_table(presentation, (), cert)
-        if table is None:
-            return False
-        endpoint = table.apply(0, word)
-        return (verdict.answer == "yes") == (endpoint != 0)
-    if kind == "finite_quotient":
-        ok, n, images = _hom_ok(presentation, cert)
-        return (ok and verdict.answer == "yes"
-                and _evaluate(images, word, n) != tuple(range(n)))
-    return False
+    return replay_double_coset_verdict(presentation, (), (), word,
+                                       _negated(verdict))
 
 
 def replay_membership_verdict(presentation, subgroup_words, word, verdict):
     """Independent check of a decide_membership yes/no certificate."""
-    word = free_reduce(word)
-    subgroup_words = [free_reduce(h) for h in subgroup_words]
-    cert = verdict.certificate
-    kind = cert.get("kind")
-    if verdict.answer == "unknown":
-        return kind == "budget_exhausted"
-    if kind == "abelianization":
-        columns = ([presentation.exponent_vector(h) for h in subgroup_words]
-                   + presentation.relator_matrix())
-        return verdict.answer == "no" and not in_column_span(
-            columns, presentation.exponent_vector(word))
-    if kind == "factorization":
-        product = ()
-        for f in cert["factors"]:
-            h = subgroup_words[abs(f) - 1]
-            product = concat(product, h if f > 0 else inverse_word(h))
-        return verdict.answer == "yes" and product == word
-    if kind == "coset_table":
-        table = _rebuild_table(presentation, subgroup_words, cert)
-        if table is None:
-            return False
-        return (verdict.answer == "yes") == (table.apply(0, word) == 0)
-    if kind == "quotient_separation":
-        ok, n, images = _hom_ok(presentation, cert)
-        if not ok or verdict.answer != "no":
-            return False
-        sub = subgroup_closure([_evaluate(images, h, n)
-                                for h in subgroup_words], n)
-        return _evaluate(images, word, n) not in sub
-    return False
+    return replay_double_coset_verdict(presentation, subgroup_words, (),
+                                       word, verdict)
 
 
 def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
                                 verdict):
-    """Independent check of a decide_double_coset yes/no certificate."""
+    """Independent check of a decide_double_coset yes/no certificate.
+    Only the certificate's witness is read: an abelianisation certificate
+    is recomputed, so it may omit its image."""
     word = free_reduce(word)
     h1_words = [free_reduce(h) for h in h1_words]
     h2_words = [free_reduce(h) for h in h2_words]
@@ -616,21 +547,17 @@ def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
     if verdict.answer == "unknown":
         return kind == "budget_exhausted"
     if kind == "abelianization":
-        columns = ([presentation.exponent_vector(h) for h in h1_words]
-                   + [presentation.exponent_vector(h) for h in h2_words]
-                   + presentation.relator_matrix())
         return verdict.answer == "no" and not in_column_span(
-            columns, presentation.exponent_vector(word))
+            _abelian_columns(presentation, h1_words, h2_words),
+            presentation.exponent_vector(word))
     if kind == "factorization":
-        p2 = ()
-        for f in cert["h2_factors"]:
-            h = h2_words[abs(f) - 1]
-            p2 = concat(p2, h if f > 0 else inverse_word(h))
-        p1 = ()
-        for f in cert["h1_factors"]:
-            h = h1_words[abs(f) - 1]
-            p1 = concat(p1, h if f > 0 else inverse_word(h))
-        return verdict.answer == "yes" and concat(p2, p1) == word
+        return verdict.answer == "yes" and concat(
+            _product(h2_words, cert["h2_factors"]),
+            _product(h1_words, cert["h1_factors"])) == word
+    if kind == "rewriting_trace":
+        # a trivial word lies in every double coset
+        return verdict.answer == "yes" and replay_rewrite_trace(
+            presentation, word, cert["trace"])
     if kind == "coset_table":
         subgroup, others, w = h1_words, h2_words, word
         if cert.get("swapped"):
@@ -639,28 +566,16 @@ def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
         if table is None:
             return False
         if verdict.answer == "yes":
-            x = ()
-            for f in cert["h2_inverse_factors"]:
-                h = others[abs(f) - 1]
-                x = concat(x, h if f > 0 else inverse_word(h))
+            x = _product(others, cert["h2_inverse_factors"])
             return table.apply(0, concat(x, w)) == 0
-        hits = {c for c in range(table.coset_count)
-                if table.apply(c, w) == 0}
-        orbit = {0}
-        frontier = [0]
-        while frontier:
-            c = frontier.pop()
-            for h in others:
-                for piece in (h, inverse_word(h)):
-                    d = table.apply(c, piece)
-                    if d not in orbit:
-                        orbit.add(d)
-                        frontier.append(d)
-        return not hits & orbit
+        return not any(table.apply(c, w) == 0 for c in _orbit(table, others))
     if kind == "quotient_separation":
-        ok, n, images = _hom_ok(presentation, cert)
-        if not ok or verdict.answer != "no":
-            return False
-        return _double_coset_separation(n, images, h1_words, h2_words,
-                                        word) is not None
+        n = cert["degree"]
+        images = [tuple(p) for p in cert["images"]]
+        identity = tuple(range(n))
+        return (verdict.answer == "no"
+                and all(_evaluate(images, r, n) == identity
+                        for r in presentation.relators)
+                and _double_coset_separation(n, images, h1_words, h2_words,
+                                             word) is not None)
     return False

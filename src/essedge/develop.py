@@ -79,19 +79,24 @@ class DevelopReport:
 
 
 class FloatPoint:
-    """Projective point over floating complex numbers, with a rounded
-    canonical key so near-equal positions deduplicate."""
+    """Projective point over floating complex numbers.  Equality and hashing
+    both use one canonical key, the affine coordinate rounded to 6 decimal
+    places, so near-equal positions deduplicate and equal points hash
+    alike."""
 
-    __slots__ = ("x", "y")
+    __slots__ = ("x", "y", "key")
 
     def __init__(self, x, y=1.0):
         x, y = complex(x), complex(y)
         if abs(y) >= 1e-12 and (abs(x) <= 1.0 or abs(x / y) < 1e12):
             x, y = x / y, 1.0
+            key = (round(x.real, 6), round(x.imag, 6))
         else:
             x, y = 1.0, 0.0
+            key = "inf"
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "key", key)
 
     def __setattr__(self, name, value):
         raise AttributeError("FloatPoint is immutable")
@@ -103,15 +108,10 @@ class FloatPoint:
     def __eq__(self, other):
         if not isinstance(other, FloatPoint):
             return NotImplemented
-        if self.is_infinity or other.is_infinity:
-            return self.is_infinity and other.is_infinity
-        return abs(self.x - other.x) <= 1e-9 * max(1.0, abs(self.x),
-                                                   abs(other.x))
+        return self.key == other.key
 
     def __hash__(self):
-        if self.is_infinity:
-            return hash("inf")
-        return hash((round(self.x.real, 6), round(self.x.imag, 6)))
+        return hash(self.key)
 
     def __repr__(self):
         return "oo" if self.is_infinity else "%.6g%+.6gj" % (self.x.real,

@@ -160,14 +160,40 @@ def solve_integer(matrix, target):
     return [sum(V[i][k] * y[k] for k in range(cols)) for i in range(cols)]
 
 
+def _lattice_echelon(vectors, n):
+    """An echelon basis of the integer span of the vectors: (pivot, vector)
+    pairs with increasing pivots, each vector zero before its pivot."""
+    pool = [list(v) for v in vectors if any(v)]
+    basis = []
+    for i in range(n):
+        while True:
+            hits = [v for v in pool if v[i]]
+            if not hits:
+                break
+            piv = min(hits, key=lambda v: abs(v[i]))
+            done = True
+            for v in hits:
+                if v is not piv:
+                    q = v[i] // piv[i]
+                    v[:] = [a - q * b for a, b in zip(v, piv)]
+                    done = done and not v[i]
+            if done:
+                pool = [v for v in pool if v is not piv and any(v)]
+                basis.append((i, piv))
+                break
+    return basis
+
+
 def in_column_span(columns, target):
     """Whether target lies in the integer span of the given column vectors."""
-    n = len(target)
-    cols = [c for c in columns]
-    if not cols:
-        return not any(target)
-    matrix = [[col[i] for col in cols] for i in range(n)]
-    return solve_integer(matrix, target) is not None
+    t = list(target)
+    for i, v in _lattice_echelon(columns, len(t)):
+        q, r = divmod(t[i], v[i])
+        if r:
+            return False
+        if q:
+            t = [a - q * b for a, b in zip(t, v)]
+    return not any(t)
 
 
 def cokernel_reducer(rel_matrix, ngens):

@@ -23,6 +23,16 @@ def test_budget_parsing():
         Budget(coast_nodes=1)
 
 
+def test_budget_copies_and_pickles():
+    import copy
+    import pickle
+    budget = Budget(coset_nodes=100, quotient_degree=4)
+    for clone in (copy.copy(budget), copy.deepcopy(budget),
+                  pickle.loads(pickle.dumps(budget))):
+        assert clone.to_json() == budget.to_json()
+        assert clone.coset_nodes == 100
+
+
 def test_word_nontrivial_in_z2():
     verdict = decide_word(Z2, words("a"))
     assert verdict.answer == "yes"
@@ -56,23 +66,50 @@ def test_word_budget_monotone():
 def test_budget_monotone_on_spine_words(m136_skeleton):
     from essedge.fundamental import SpineData
     spine = SpineData(m136_skeleton)
-    small = Budget(coset_nodes=200, rewrite_steps=200, quotient_degree=2,
-                   quotient_nodes=200, factor_depth=3, factor_nodes=200)
-    large = Budget(coset_nodes=2000, rewrite_steps=2000, quotient_degree=3,
-                   quotient_nodes=2000, factor_depth=4, factor_nodes=800)
+    pres = spine.presentation
+    # each budget is at least its predecessor in every key; the middle one
+    # reaches degree-4 quotients, so quotient separations are checked too
+    ladder = (Budget(coset_nodes=200, rewrite_steps=200, quotient_degree=2,
+                     quotient_nodes=200, factor_depth=3, factor_nodes=200),
+              Budget(coset_nodes=2000, rewrite_steps=2000, quotient_degree=4,
+                     quotient_nodes=20000, factor_depth=4, factor_nodes=800),
+              Budget(coset_nodes=4000, rewrite_steps=4000, quotient_degree=4,
+                     quotient_nodes=40000, factor_depth=5,
+                     factor_nodes=1600))
+    kinds = set()
+
+    def monotone(decide, *question):
+        verdicts = [decide(pres, *question, b) for b in ladder]
+        answers = [v.answer for v in verdicts]
+        for k, v in enumerate(verdicts[:-1]):
+            if v.answer != "unknown":
+                kinds.add(v.certificate["kind"])
+                assert answers[k + 1:] == [v.answer] * (len(answers) - k - 1)
+
     for edge in range(3):
-        word = spine.edge_loop_word(edge)
-        a = decide_word(spine.presentation, word, small)
-        if a.answer != "unknown":
-            b = decide_word(spine.presentation, word, large)
-            assert a.answer == b.answer
+        monotone(decide_word, spine.edge_loop_word(edge))
+    for e in m136_skeleton.edge_classes:
+        t0, (a, _b) = e.corners[0]
+        vertex = spine.vertex_of_end(t0, a)
+        monotone(decide_membership, spine.peripheral(vertex).words,
+                 spine.edge_loop_word(e.index))
+    n = len(m136_skeleton.edge_classes)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for flip in (False, True):
+                data = spine.parallel_test_data(i, j, flip)
+                if data is not None:
+                    word, h2, h1 = data
+                    monotone(decide_double_coset, h1, h2, word)
+    assert {"abelianization", "quotient_separation"} <= kinds
 
 
 def test_membership_power_of_generator():
     verdict = decide_membership(FREE2, [words("a")], words("aaa"))
     assert verdict.answer == "yes"
     assert verdict.certificate["kind"] == "factorization"
-    assert verdict.certificate["factors"] == [1, 1, 1]
+    assert verdict.certificate["h1_factors"] == [1, 1, 1]
+    assert verdict.certificate["h2_factors"] == []
 
 
 def test_membership_separated_by_abelianisation():

@@ -66,3 +66,21 @@ def test_random_optima_are_extreme():
         # optimum of a linear functional over the simplex b*Delta is at a
         # vertex: b * min(c)
         assert value == b[0] * min(c)
+
+
+def test_fractional_data_stays_exact():
+    rng = random.Random(17)
+    for _ in range(60):
+        m, n = rng.randint(1, 4), rng.randint(1, 6)
+        x0 = [Fraction(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(n)]
+        a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+              for _ in range(n)] for _ in range(m)]
+        b = [sum(row[j] * x0[j] for j in range(n)) for row in a]
+        c = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(n)]
+        status, x, value = solve_lp(a, b, c)
+        assert status == "optimal"
+        assert all(v >= 0 for v in x)
+        for row, rhs in zip(a, b):
+            assert sum(r * v for r, v in zip(row, x)) == rhs
+        assert value == sum(ci * xi for ci, xi in zip(c, x))
+        assert value <= sum(ci * xi for ci, xi in zip(c, x0))

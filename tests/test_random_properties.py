@@ -12,7 +12,9 @@ from essedge import (Triangulation, Perm4, build_skeleton, are_isomorphic,
                      SkeletonError)
 from essedge.angles import build_angle_system, solve_angle_lp
 from essedge.decide import (Budget, decide_word, decide_membership,
-                            replay_word_verdict, replay_membership_verdict)
+                            decide_double_coset, replay_word_verdict,
+                            replay_membership_verdict,
+                            replay_double_coset_verdict)
 from essedge.fundamental import presentation_spine
 from essedge.moves import pachner_2_3, pachner_3_2, MoveError
 from essedge.presentation import homology, word_from_string as words
@@ -146,10 +148,18 @@ def test_group_certificates_replay(corpus):
             assert replay_word_verdict(pres, word, verdict)
             if verdict.answer != "unknown":
                 replayed += 1
-        sub = [(1,)]
         target = (2,) if pres.generator_count >= 2 else (1, 1)
-        verdict = decide_membership(pres, sub, target, budget)
-        assert replay_membership_verdict(pres, sub, target, verdict)
+        # (1, -1) free-reduces to (), so that subgroup is trivial and the
+        # rewriting step answers for it
+        for sub in ([(1,)], [(1, -1)]):
+            verdict = decide_membership(pres, sub, target, budget)
+            assert replay_membership_verdict(pres, sub, target, verdict)
+            if verdict.answer != "unknown":
+                replayed += 1
+        h1, h2 = [(1,)], [(pres.generator_count,)]
+        word = (pres.generator_count, 1, 1) + target
+        verdict = decide_double_coset(pres, h1, h2, word, budget)
+        assert replay_double_coset_verdict(pres, h1, h2, word, verdict)
         if verdict.answer != "unknown":
             replayed += 1
     assert replayed >= 20

@@ -60,6 +60,26 @@ def test_in_column_span():
     assert not in_column_span([], [1, 0])
 
 
+def test_in_column_span_agrees_with_solve_integer():
+    rng = random.Random(8)
+    members = 0
+    for _ in range(400):
+        n, k = rng.randint(1, 5), rng.randint(1, 5)
+        columns = [[rng.choice([0, 0, 1, -1, 2, -3, 4, 6]) for _ in range(n)]
+                   for _ in range(k)]
+        if rng.random() < 0.5:
+            coeffs = [rng.randint(-3, 3) for _ in range(k)]
+            target = [sum(c * col[i] for c, col in zip(coeffs, columns))
+                      for i in range(n)]
+        else:
+            target = [rng.randint(-5, 5) for _ in range(n)]
+        matrix = [[col[i] for col in columns] for i in range(n)]
+        expected = solve_integer(matrix, target) is not None
+        assert in_column_span(columns, target) == expected
+        members += expected
+    assert 0 < members < 400
+
+
 def test_cokernel_reducer():
     reduce_vec = cokernel_reducer([[2, 0]], 2)
     assert reduce_vec([2, 0]) == (0, 0)
