@@ -6,11 +6,14 @@ lifts of distinct edge classes sharing both endpoints.
 
 Every tetrahedron with positive volume meets its neighbours only along
 faces, so a parallel pair of edges forces a walk between the two lifts
-through flat tetrahedra.  The scan therefore develops each connected
-cluster of flat tetrahedra separately; when a cluster's development is
-finite, or closes up under a detected parabolic translation, its
-coincidence scan is complete and the report is conclusive for that
-cluster.
+through flat tetrahedra.  The scan therefore treats each connected
+cluster of flat tetrahedra separately.  A linear cluster is first walked
+once around and settled by its holonomy: a parabolic period means the
+development closes up under that translation, and its lifts are scanned
+exactly modulo it.  Breadth-first development runs only for branching
+clusters, or when that walk is inconclusive, and is conclusive when the
+development is finite.  A conclusive cluster has a complete coincidence
+scan.
 """
 from .gaussian import (GaussianRational, INFINITY, Moebius, ONE, ZERO,
                        point, fourth_vertex, cross_ratio_shape,
@@ -285,11 +288,20 @@ def _intra_faces(tri, cluster, t):
 
 def _scan_cluster(tri, skeleton, shapes, cluster, cap):
     """
-    Develop one flat cluster.  Finite developments are fully scanned; a
-    linear cluster (every member with exactly two intra-cluster gluings)
-    whose development repeats under a parabolic translation is scanned
-    exactly up to that translation; anything else is inconclusive.
+    Scan one flat cluster.  A linear cluster (every member with exactly
+    two intra-cluster gluings) is first walked once around and settled by
+    its holonomy: a parabolic period makes the development infinite, and
+    it is scanned exactly up to that translation.  Breadth-first
+    development runs only for branching clusters, or when the walk is
+    inconclusive (an identity or non-parabolic period, or none within the
+    cap); a finite development is fully scanned and anything else is
+    inconclusive.
     """
+    linear = all(len(_intra_faces(tri, cluster, t)) == 2 for t in cluster)
+    if linear:
+        walk = _scan_linear_cluster(tri, skeleton, shapes, cluster, cap)
+        if walk.conclusive:
+            return walk
     base_tet = cluster[0]
     base = _base_instance(base_tet, shapes.shapes[base_tet])
     seen = {base.key(): base}
@@ -312,11 +324,11 @@ def _scan_cluster(tri, skeleton, shapes, cluster, cap):
         pairs = _coincidences_among(skeleton, order)
         return ClusterScan(cluster, True, "finite development",
                            coincidences=pairs, instance_count=len(order))
-    if any(len(_intra_faces(tri, cluster, t)) != 2 for t in cluster):
-        return ClusterScan(cluster, False,
-                           "development cap %d exceeded (branching cluster)"
-                           % cap, instance_count=len(seen))
-    return _scan_linear_cluster(tri, skeleton, shapes, cluster, cap)
+    if linear:
+        return walk
+    return ClusterScan(cluster, False,
+                       "development cap %d exceeded (branching cluster)"
+                       % cap, instance_count=len(seen))
 
 
 def _scan_linear_cluster(tri, skeleton, shapes, cluster, cap):

@@ -65,6 +65,10 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # a real value equals the int or Fraction it holds, so it hashes
+        # as its real part, as complex does
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):

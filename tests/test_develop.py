@@ -1,5 +1,6 @@
 import pytest
 
+import essedge.develop
 from essedge.develop import develop_and_scan, _SLOT_ORDER, FloatPoint
 from essedge.gaussian import cross_ratio_shape, Moebius
 from essedge.shapes import solve_shapes_newton, ShapeAssignment, ShapeError
@@ -19,6 +20,39 @@ def test_m136_scan_radius_three(m136_skeleton, m136_shapes):
     assert cluster.coincidences == []
     assert cluster.translation is not None
     assert cluster.translation.is_parabolic()
+
+
+def test_linear_cluster_settled_without_breadth_first_search(
+        m136_skeleton, m136_shapes, monkeypatch):
+    """m136's flat cluster is linear with a parabolic period, so one walk
+    around it decides the scan; growing a breadth-first development to the
+    default cap of 200 instances would cross more than 200 faces."""
+    calls = []
+    develop_across = essedge.develop._develop_across
+
+    def counted(*args):
+        calls.append(args)
+        return develop_across(*args)
+
+    monkeypatch.setattr(essedge.develop, "_develop_across", counted)
+    report = develop_and_scan(m136_skeleton, m136_shapes, radius=3)
+    assert report.clusters[0].conclusive
+    assert len(calls) < 200
+
+
+def test_linear_cluster_walk_too_short(m136_skeleton, m136_shapes):
+    """With a cap below the period the walk is inconclusive, the fallback
+    breadth-first development is not finite either, and the walk's reason
+    stands."""
+    report = develop_and_scan(m136_skeleton, m136_shapes, radius=0,
+                              cluster_cap=1)
+    cluster = report.clusters[0]
+    assert cluster.tets == (3, 5)
+    assert not cluster.conclusive
+    assert cluster.reason == "no period found within 1 steps"
+    assert cluster.translation is None
+    assert cluster.instance_count == 2
+    assert not report.conclusive_for_flat_clusters
 
 
 def test_developed_cross_ratios_reproduce_shapes(m136_skeleton, m136_shapes):

@@ -36,6 +36,16 @@ def test_triple_product_identity():
         assert z * zp * zpp == GaussianRational(-1)
 
 
+def test_real_values_hash_as_their_numbers():
+    for value in (3, Fraction(-7, 5), 0):
+        z = GaussianRational(value)
+        assert z == value
+        assert hash(z) == hash(value)
+        assert len({z, value}) == 1
+        assert {value: "x"}.get(z) == "x"
+    assert len({GaussianRational(3, 1), GaussianRational(3)}) == 2
+
+
 def test_projective_points():
     assert point(2) == ProjectivePoint(4, 2)
     assert INFINITY == ProjectivePoint(5, 0)
