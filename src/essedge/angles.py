@@ -7,7 +7,7 @@ equations have right-hand side 1 and the edge equations 2.
 from fractions import Fraction
 
 from .linprog import solve_lp, feasible_point
-from .skeleton import build_skeleton
+from .skeleton import as_skeleton
 
 # slot 0 holds the angle of the opposite edge pair {01, 23}, slot 1 of
 # {02, 13}, slot 2 of {03, 12}
@@ -118,14 +118,8 @@ class LPOutcome:
 
 
 def build_angle_system(tri_or_skeleton):
-    skeleton = _as_skeleton(tri_or_skeleton)
+    skeleton = as_skeleton(tri_or_skeleton)
     return AngleSystem(skeleton)
-
-
-def _as_skeleton(obj):
-    if hasattr(obj, "edge_classes"):
-        return obj
-    return build_skeleton(obj)
 
 
 def solve_angle_lp(tri_or_skeleton, mode):
@@ -166,7 +160,7 @@ def enumerate_taut(tri_or_skeleton, limit=None):
     All taut structures (one slot 1 per tetrahedron, edge sums exactly 2),
     by backtracking in lexicographic slot order; at most `limit` results.
     """
-    skeleton = _as_skeleton(tri_or_skeleton)
+    skeleton = as_skeleton(tri_or_skeleton)
     system = AngleSystem(skeleton)
     n = system.tet_count
     edges = [e for e in skeleton.edge_classes if e.closed]

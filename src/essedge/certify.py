@@ -1,25 +1,40 @@
 """
 Certification of essential and strongly essential triangulations.
 
-Certificate sources are cascaded from cheap and global to expensive and
-local: angle-structure LPs first (a semi-angle structure makes every edge
+A certification is one pass over one analysis of the triangulation.  The
+analysis builds each fact it needs on first use, once: the skeleton and
+its case (a closed one-vertex triangulation, or an ideal one with torus
+cusps), the presentation of pi_1 (edge generators when closed, the dual
+spine when ideal), the exact verified shape solution and its developing
+scan.  `certify_essential` runs the edge pass over it;
+`certify_strongly_essential` runs the strict angle LP, the edge pass and
+then the pair pass.
+
+Both passes are cascaded from cheap and global to expensive and local:
+angle-structure LPs first (a semi-angle structure makes every edge
 essential, a strict one additionally rules out parallel edges), then
-abelianisation checks, then the exact developing-map scan of a verified
-geometric solution, and finally budgeted group-theoretic search.  Every
-yes/no answer carries the certificate that produced it; unknown is an
-honest outcome carrying the exhausted budget.
+abelianisation, then the developing-map scan of the exact shapes, and
+finally budgeted group search.  The case supplies the group questions,
+each asking whether a word lies in a double coset H2·H1: an edge is
+inessential when its loop lies in its peripheral subgroup, and two edges
+are parallel when one of their words lies in its double coset.  In the
+closed case the subgroups are trivial and the pair words are i·j^-1 and
+i·j.  The case also tags the certificates.  Every yes/no answer carries
+the certificate that produced it; unknown is an honest outcome carrying
+the exhausted budget.
 """
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 
 from .angles import solve_angle_lp
-from .decide import (Budget, decide_word, decide_membership,
-                     decide_double_coset)
+from .decide import Budget, decide_double_coset
 from .develop import develop_and_scan
 from .fundamental import SpineData, presentation_closed
 from .presentation import concat
 from .shapes import (ShapeAssignment, verify_shapes, completeness_products,
                      solve_shapes_newton, NewtonError, ShapeError)
-from .skeleton import build_skeleton
+from .skeleton import as_skeleton
 from .snf import in_column_span
 from .gaussian import GaussianRational
 
@@ -94,7 +109,7 @@ def _rationalize(value, max_denominator=10 ** 6):
     return Fraction(value).limit_denominator(max_denominator)
 
 
-def _exact_shapes(skeleton, shapes, log):
+def _exact_shapes(spine, shapes, log):
     """An exact verified shape solution (with exact completeness), from
     the given shapes or by Newton solving and rationalising."""
     if shapes is not None:
@@ -106,7 +121,7 @@ def _exact_shapes(skeleton, shapes, log):
         candidate = shapes
     else:
         try:
-            approx = solve_shapes_newton(skeleton)
+            approx = solve_shapes_newton(spine)
         except (NewtonError, ShapeError) as e:
             log.append("geometry: newton failed (%s)" % e)
             return None
@@ -117,11 +132,11 @@ def _exact_shapes(skeleton, shapes, log):
         except ShapeError:
             log.append("geometry: rationalisation degenerate; skipped")
             return None
-    report = verify_shapes(skeleton, candidate)
+    report = verify_shapes(spine.skeleton, candidate)
     if not report.passed:
         log.append("geometry: exact edge equations fail; skipped")
         return None
-    if any(p != 1 for p in completeness_products(skeleton, candidate)):
+    if any(p != 1 for p in completeness_products(spine, candidate)):
         log.append("geometry: completeness fails; skipped")
         return None
     log.append("geometry: exact complete solution verified "
@@ -129,262 +144,223 @@ def _exact_shapes(skeleton, shapes, log):
     return candidate
 
 
-def certify_essential(tri, budgets=None, shapes=None, methods=ALL_METHODS,
-                      radius=3, _spine=None):
-    """Per-edge and whole-triangulation essential verdicts."""
-    budgets = budgets or Budget()
-    skeleton = build_skeleton(tri) if not hasattr(tri, "edge_classes") \
-        else tri
-    case = _classify(skeleton)
-    log = []
-    if case == "closed":
-        verdicts = _essential_closed(skeleton, budgets, methods, log)
-    else:
-        spine = _spine or SpineData(skeleton)
-        verdicts = _essential_ideal(skeleton, spine, budgets, shapes,
-                                    methods, log, radius)
-    overall = _aggregate([v.essential for v in verdicts])
-    return TriangulationVerdict(overall, None, verdicts, {}, log)
+class _Analysis:
+    """What one certification knows about its triangulation: each fact is
+    built on first use, once, and the log says how it was obtained."""
+
+    def __init__(self, tri, budgets, shapes, methods):
+        self.skeleton = as_skeleton(tri)
+        self.closed = _classify(self.skeleton) == "closed"
+        self.budgets = budgets or Budget()
+        self.shapes = shapes
+        self.methods = methods
+        self.log = []
+
+    @cached_property
+    def spine(self):
+        return SpineData(self.skeleton)
+
+    @cached_property
+    def presentation(self):
+        if self.closed:
+            return presentation_closed(self.skeleton)
+        return self.spine.presentation
+
+    @cached_property
+    def development(self):
+        """The developing scan of the exact shapes, or None without
+        them."""
+        exact = _exact_shapes(self.spine, self.shapes, self.log)
+        return None if exact is None else develop_and_scan(self.skeleton,
+                                                           exact)
+
+    def uses(self, method):
+        """Whether a tier runs.  The closed case has no angle structures
+        or shapes, and abelianisation is a step of its group decider."""
+        if self.closed:
+            return method == "group" and not {"homology", "group"}.isdisjoint(
+                self.methods)
+        return method in self.methods
+
+    def edge_question(self, e):
+        """(word, subgroup), edge e being inessential exactly when the word
+        lies in the subgroup; None for an ideal edge joining distinct
+        vertices, which is essential since a path homotopy fixes both
+        ends."""
+        if self.closed:
+            return (e + 1,), ()
+        t0, (a, b) = self.skeleton.edge_classes[e].corners[0]
+        vertex = self.spine.vertex_of_end(t0, a)
+        if vertex != self.spine.vertex_of_end(t0, b):
+            return None
+        return (self.spine.edge_loop_word(e),
+                self.spine.peripheral(vertex).words)
+
+    def pair_questions(self, i, j):
+        """(flip, word, h1, h2), edges i and j being parallel exactly when
+        some word lies in its H2·H1.  An ideal orientation whose endpoints
+        do not match up asks nothing."""
+        if self.closed:
+            for word in (concat((i + 1,), (-(j + 1),)),
+                         concat((i + 1,), (j + 1,))):
+                yield None, word, (), ()
+            return
+        for flip in (False, True):
+            data = self.spine.parallel_test_data(i, j, flip)
+            if data is not None:
+                word, h2, h1 = data
+                yield flip, word, h1, h2
+
+    def certificate(self, verdict, flip=None):
+        """The case's certificate for a definite group answer to an edge
+        question (flip None) or a pair question."""
+        detail = verdict.certificate
+        if self.closed:
+            kind = ("homology" if detail.get("kind") == "abelianization"
+                    else "group_word")
+            return {"kind": kind, "detail": detail}
+        if flip is None:
+            return {"kind": "group_membership", "detail": detail}
+        return {"kind": "group_double_coset", "flip": flip,
+                "detail": detail}
 
 
-def _essential_closed(skeleton, budgets, methods, log):
-    presentation = presentation_closed(skeleton)
-    verdicts = []
-    for e in skeleton.edge_classes:
-        word = (e.index + 1,)
-        verdicts.append(_word_nontrivial_verdict(
-            presentation, word, e.index, budgets, methods, log))
-    return verdicts
-
-
-def _word_nontrivial_verdict(presentation, word, edge, budgets, methods,
-                             log):
-    if "homology" not in methods and "group" not in methods:
-        return EdgeVerdict(edge, "unknown", {"kind": "budget_exhausted"})
-    verdict = decide_word(presentation, word, budgets)
-    kind = verdict.certificate.get("kind")
-    tag = "homology" if kind == "abelianization" else "group_word"
-    if verdict.answer == "yes":
-        return EdgeVerdict(edge, "yes",
-                           {"kind": tag, "detail": verdict.certificate})
-    if verdict.answer == "no":
-        return EdgeVerdict(edge, "no",
-                           {"kind": tag, "detail": verdict.certificate})
-    return EdgeVerdict(edge, "unknown", verdict.certificate)
-
-
-def _essential_ideal(skeleton, spine, budgets, shapes, methods, log,
-                     radius):
-    n_edges = len(skeleton.edge_classes)
-    verdicts = [None] * n_edges
-
-    if "angle" in methods:
-        semi = solve_angle_lp(skeleton, "semi")
-        if semi.feasible:
-            log.append("angle: semi-angle structure found; all edges "
-                       "essential")
-            return [EdgeVerdict(e.index, "yes", {"kind": "semi_angle"})
-                    for e in skeleton.edge_classes]
-        log.append("angle: no semi-angle structure")
-
-    # edges joining distinct ideal vertices cannot be admissibly
-    # null-homotopic (a path homotopy fixes both endpoints)
-    loops = []
-    for e in skeleton.edge_classes:
-        t0, (a, b) = e.corners[0]
-        if spine.vertex_of_end(t0, a) != spine.vertex_of_end(t0, b):
-            verdicts[e.index] = EdgeVerdict(e.index, "yes",
-                                            {"kind": "distinct_vertices"})
+def _edge_pass(a):
+    """The essential verdict of every edge."""
+    edges = range(len(a.skeleton.edge_classes))
+    if a.uses("angle"):
+        if solve_angle_lp(a.skeleton, "semi").feasible:
+            a.log.append("angle: semi-angle structure found; all edges "
+                         "essential")
+            return [EdgeVerdict(e, "yes", {"kind": "semi_angle"})
+                    for e in edges]
+        a.log.append("angle: no semi-angle structure")
+    verdicts, questions = {}, {}
+    for e in edges:
+        question = a.edge_question(e)
+        if question is None:
+            verdicts[e] = EdgeVerdict(e, "yes", {"kind": "distinct_vertices"})
         else:
-            loops.append(e.index)
+            questions[e] = question
 
-    presentation = spine.presentation
-    words = {e: spine.edge_loop_word(e) for e in loops}
-    subgroups = {}
-    for e in loops:
-        t0, (a, _b) = skeleton.edge_classes[e].corners[0]
-        v = spine.vertex_of_end(t0, a)
-        subgroups[e] = spine.peripheral(v).words
+    def undecided():
+        return [(e, q) for e, q in questions.items() if e not in verdicts]
 
-    if "homology" in methods:
-        for e in loops:
-            if verdicts[e] is not None:
-                continue
-            columns = ([presentation.exponent_vector(h)
-                        for h in subgroups[e]]
-                       + presentation.relator_matrix())
-            target = presentation.exponent_vector(words[e])
+    if a.uses("homology"):
+        pres = a.presentation
+        for e, (word, subgroup) in undecided():
+            target = pres.exponent_vector(word)
+            columns = ([pres.exponent_vector(h) for h in subgroup]
+                       + pres.relator_matrix())
             if not in_column_span(columns, target):
-                verdicts[e] = EdgeVerdict(e, "yes", {
-                    "kind": "homology", "image": target})
-        if any(v is not None and v.certificate["kind"] == "homology"
-               for v in verdicts):
-            log.append("homology: peripheral lattice separation applied")
-
-    exact = None
-    if "geometry" in methods and any(verdicts[e] is None for e in loops):
-        exact = _exact_shapes(skeleton, shapes, log)
-        if exact is not None:
-            report = develop_and_scan(skeleton, exact, radius=radius)
-            for e in loops:
-                if verdicts[e] is not None:
-                    continue
-                distinct = report.edge_endpoints_distinct.get(e)
-                if distinct is False:
-                    verdicts[e] = EdgeVerdict(e, "no", {
-                        "kind": "geometric_endpoints",
-                        "witness": repr(report.coincident_edges)})
-                elif distinct:
-                    verdicts[e] = EdgeVerdict(e, "yes", {
-                        "kind": "geometric_endpoints"})
-
-    if "group" in methods:
-        for e in loops:
-            if verdicts[e] is not None:
-                continue
-            verdict = decide_membership(presentation, subgroups[e],
-                                        words[e], budgets)
-            if verdict.answer == "no":
-                verdicts[e] = EdgeVerdict(e, "yes", {
-                    "kind": "group_membership",
-                    "detail": verdict.certificate})
-            elif verdict.answer == "yes":
+                verdicts[e] = EdgeVerdict(e, "yes", {"kind": "homology",
+                                                     "image": target})
+        if any(v.certificate["kind"] == "homology"
+               for v in verdicts.values()):
+            a.log.append("homology: peripheral lattice separation applied")
+    report = a.development if a.uses("geometry") and undecided() else None
+    if report is not None:
+        for e, _question in undecided():
+            distinct = report.edge_endpoints_distinct.get(e)
+            if distinct is False:
                 verdicts[e] = EdgeVerdict(e, "no", {
-                    "kind": "group_membership",
-                    "detail": verdict.certificate})
-    for e in loops:
-        if verdicts[e] is None:
-            verdicts[e] = EdgeVerdict(e, "unknown",
-                                      {"kind": "budget_exhausted",
-                                       "budget": budgets.to_json()})
-    return verdicts
+                    "kind": "geometric_endpoints",
+                    "witness": repr(report.coincident_edges)})
+            elif distinct:
+                verdicts[e] = EdgeVerdict(e, "yes",
+                                          {"kind": "geometric_endpoints"})
+    if a.uses("group"):
+        for e, (word, subgroup) in undecided():
+            verdict = decide_double_coset(a.presentation, subgroup, (), word,
+                                          a.budgets)
+            if verdict.answer != "unknown":
+                essential = "yes" if verdict.answer == "no" else "no"
+                verdicts[e] = EdgeVerdict(e, essential,
+                                          a.certificate(verdict))
+    # only a closed edge that no decider was asked about names no budget
+    unknown = {"kind": "budget_exhausted"}
+    if a.uses("group") or not a.closed:
+        unknown["budget"] = a.budgets.to_json()
+    for e, _question in undecided():
+        verdicts[e] = EdgeVerdict(e, "unknown", dict(unknown))
+    return [verdicts[e] for e in edges]
+
+
+def _pair_verdict(a, i, j):
+    """(state, certificate) of one pair from its group questions."""
+    answers, certificates = [], []
+    for flip, word, h1, h2 in a.pair_questions(i, j):
+        verdict = decide_double_coset(a.presentation, h1, h2, word,
+                                      a.budgets)
+        if verdict.answer == "yes":
+            return "parallel", a.certificate(verdict, flip)
+        answers.append(verdict.answer)
+        certificates.append(a.certificate(verdict, flip))
+    if not answers:
+        # no orientation matches the endpoints: never parallel
+        return "not_parallel", {"kind": "distinct_vertices"}
+    if all(answer == "no" for answer in answers):
+        return "not_parallel", (certificates[0] if a.closed
+                                else {"kind": "group_double_coset"})
+    return "unknown", {"kind": "budget_exhausted"}
+
+
+def _pair_pass(a):
+    """The parallelism state of every pair of edges."""
+    report = a.development if a.uses("geometry") else None
+    coincident = None
+    if report is not None and report.conclusive_for_flat_clusters:
+        coincident = {tuple(sorted(p)) for cluster in report.clusters
+                      for p in cluster.coincidences}
+        a.log.append("geometry: flat-cluster scan conclusive; "
+                     "coincident pairs %s" % sorted(coincident))
+    elif report is not None:
+        a.log.append("geometry: flat-cluster scan not conclusive")
+    pairs = {}
+    for pair in combinations(range(len(a.skeleton.edge_classes)), 2):
+        if coincident is not None:
+            state = "parallel" if pair in coincident else "not_parallel"
+            pairs[pair] = (state, {"kind": "geometric_scan"})
+        # the closed case asks its pair questions whatever the methods
+        elif a.closed or a.uses("group"):
+            pairs[pair] = _pair_verdict(a, *pair)
+        else:
+            pairs[pair] = ("unknown", {"kind": "budget_exhausted"})
+    return pairs
+
+
+def certify_essential(tri, budgets=None, shapes=None, methods=ALL_METHODS):
+    """Per-edge and whole-triangulation essential verdicts."""
+    a = _Analysis(tri, budgets, shapes, methods)
+    edges = _edge_pass(a)
+    return TriangulationVerdict(_aggregate([v.essential for v in edges]),
+                                None, edges, {}, a.log)
 
 
 def certify_strongly_essential(tri, budgets=None, shapes=None,
-                               methods=ALL_METHODS, radius=3):
+                               methods=ALL_METHODS):
     """Essential plus pairwise non-parallelism verdicts."""
-    budgets = budgets or Budget()
-    skeleton = build_skeleton(tri) if not hasattr(tri, "edge_classes") \
-        else tri
-    case = _classify(skeleton)
-    log = []
-
-    if "angle" in methods and case == "ideal":
-        strict = solve_angle_lp(skeleton, "strict")
+    a = _Analysis(tri, budgets, shapes, methods)
+    if a.uses("angle"):
+        strict = solve_angle_lp(a.skeleton, "strict")
         if strict.feasible:
-            log.append("angle: strict angle structure (t* = %s); strongly "
-                       "essential" % strict.optimum)
-            verdicts = [EdgeVerdict(e.index, "yes", {"kind": "strict_angle"})
-                        for e in skeleton.edge_classes]
-            return TriangulationVerdict("yes", "yes", verdicts, {}, log)
-        log.append("angle: strict optimum %s; no strict angle structure"
-                   % (strict.optimum,))
-
-    spine = SpineData(skeleton) if case == "ideal" else None
-    base = certify_essential(skeleton, budgets, shapes, methods, radius,
-                             _spine=spine)
-    log.extend(base.method_log)
-    if base.essential == "no":
-        return TriangulationVerdict("no", "no", base.edge_verdicts, {}, log)
-
-    if case == "closed":
-        pairs = _pairs_closed(skeleton, budgets, methods, log)
-    else:
-        pairs = _pairs_ideal(skeleton, spine, budgets, shapes, methods, log,
-                             radius)
-
-    pair_answers = [v[0] for v in pairs.values()]
-    if any(a == "parallel" for a in pair_answers):
+            a.log.append("angle: strict angle structure (t* = %s); strongly "
+                         "essential" % strict.optimum)
+            edges = [EdgeVerdict(e.index, "yes", {"kind": "strict_angle"})
+                     for e in a.skeleton.edge_classes]
+            return TriangulationVerdict("yes", "yes", edges, {}, a.log)
+        a.log.append("angle: strict optimum %s; no strict angle structure"
+                     % (strict.optimum,))
+    edges = _edge_pass(a)
+    essential = _aggregate([v.essential for v in edges])
+    if essential == "no":
+        return TriangulationVerdict("no", "no", edges, {}, a.log)
+    pairs = _pair_pass(a)
+    states = [state for state, _ in pairs.values()]
+    if "parallel" in states:
         strongly = "no"
-    elif base.essential == "yes" and all(a == "not_parallel"
-                                         for a in pair_answers):
+    elif essential == "yes" and all(s == "not_parallel" for s in states):
         strongly = "yes"
     else:
         strongly = "unknown"
-    return TriangulationVerdict(base.essential, strongly,
-                                base.edge_verdicts, pairs, log)
-
-
-def _pairs_closed(skeleton, budgets, methods, log):
-    presentation = presentation_closed(skeleton)
-    n = len(skeleton.edge_classes)
-    pairs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            answers = []
-            certs = []
-            for word in (concat((i + 1,), (-(j + 1),)),
-                         concat((i + 1,), (j + 1,))):
-                verdict = decide_word(presentation, word, budgets)
-                kind = verdict.certificate.get("kind")
-                tag = ("homology" if kind == "abelianization"
-                       else "group_word")
-                answers.append(verdict.answer)
-                certs.append({"kind": tag, "detail": verdict.certificate})
-            if "no" in answers:
-                # some sign combination is trivial: the loops are parallel
-                pairs[(i, j)] = ("parallel", certs[answers.index("no")])
-            elif answers == ["yes", "yes"]:
-                pairs[(i, j)] = ("not_parallel", certs[0])
-            else:
-                pairs[(i, j)] = ("unknown", {"kind": "budget_exhausted"})
-    return pairs
-
-
-def _pairs_ideal(skeleton, spine, budgets, shapes, methods, log, radius):
-    presentation = spine.presentation
-    n = len(skeleton.edge_classes)
-    pairs = {}
-
-    geometric = None
-    if "geometry" in methods:
-        exact = _exact_shapes(skeleton, shapes, log)
-        if exact is not None:
-            report = develop_and_scan(skeleton, exact, radius=radius)
-            if report.conclusive_for_flat_clusters:
-                coincident = set()
-                for cluster in report.clusters:
-                    coincident.update(tuple(sorted(p))
-                                      for p in cluster.coincidences)
-                geometric = coincident
-                log.append("geometry: flat-cluster scan conclusive; "
-                           "coincident pairs %s" % sorted(coincident))
-            else:
-                log.append("geometry: flat-cluster scan not conclusive")
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if geometric is not None:
-                if (i, j) in geometric:
-                    pairs[(i, j)] = ("parallel", {"kind": "geometric_scan"})
-                else:
-                    pairs[(i, j)] = ("not_parallel",
-                                     {"kind": "geometric_scan"})
-                continue
-            if "group" not in methods:
-                pairs[(i, j)] = ("unknown", {"kind": "budget_exhausted"})
-                continue
-            pairs[(i, j)] = _pair_double_coset(spine, presentation, i, j,
-                                               budgets)
-    return pairs
-
-
-def _pair_double_coset(spine, presentation, i, j, budgets):
-    answers = []
-    for flip in (False, True):
-        data = spine.parallel_test_data(i, j, flip)
-        if data is None:
-            continue
-        word, h2, h1 = data
-        verdict = decide_double_coset(presentation, h1, h2, word, budgets)
-        if verdict.answer == "yes":
-            return ("parallel", {"kind": "group_double_coset",
-                                 "flip": flip,
-                                 "detail": verdict.certificate})
-        answers.append(verdict.answer)
-    if answers and all(a == "no" for a in answers):
-        return ("not_parallel", {"kind": "group_double_coset"})
-    if not answers:
-        # no orientation matches the endpoints: never parallel
-        return ("not_parallel", {"kind": "distinct_vertices"})
-    return ("unknown", {"kind": "budget_exhausted"})
+    return TriangulationVerdict(essential, strongly, edges, pairs, a.log)

@@ -15,11 +15,10 @@ clusters, or when that walk is inconclusive, and is conclusive when the
 development is finite.  A conclusive cluster has a complete coincidence
 scan.
 """
-from .gaussian import (GaussianRational, INFINITY, Moebius, ONE, ZERO,
-                       point, fourth_vertex, cross_ratio_shape,
-                       moebius_between)
+from .gaussian import (INFINITY, Moebius, ONE, ZERO, point, fourth_vertex,
+                       cross_ratio_shape, moebius_between)
 from .shapes import ShapeAssignment, verify_shapes, ShapeError
-from .skeleton import build_skeleton
+from .skeleton import as_skeleton
 from .triangulation import TET_EDGES, FACE_VERTICES
 
 # vertex orderings realising the three slot shapes as cross-ratios
@@ -81,63 +80,6 @@ class DevelopReport:
                    self.conclusive_for_flat_clusters))
 
 
-class FloatPoint:
-    """Projective point over floating complex numbers.  Equality and hashing
-    both use one canonical key, the affine coordinate rounded to 6 decimal
-    places, so near-equal positions deduplicate and equal points hash
-    alike."""
-
-    __slots__ = ("x", "y", "key")
-
-    def __init__(self, x, y=1.0):
-        x, y = complex(x), complex(y)
-        if abs(y) >= 1e-12 and (abs(x) <= 1.0 or abs(x / y) < 1e12):
-            x, y = x / y, 1.0
-            key = (round(x.real, 6), round(x.imag, 6))
-        else:
-            x, y = 1.0, 0.0
-            key = "inf"
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "key", key)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FloatPoint is immutable")
-
-    @property
-    def is_infinity(self):
-        return self.y == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, FloatPoint):
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return "oo" if self.is_infinity else "%.6g%+.6gj" % (self.x.real,
-                                                             self.x.imag)
-
-
-def _float_fourth_vertex(slot_positions, z):
-    k = next(i for i, p in enumerate(slot_positions) if p is None)
-
-    def eval_with(x, y):
-        coords = [(p.x, p.y) if p is not None else (complex(x), complex(y))
-                  for p in slot_positions]
-
-        def det(i, j):
-            return coords[i][0] * coords[j][1] - coords[j][0] * coords[i][1]
-
-        return det(2, 0) * det(3, 1) - complex(z) * det(2, 1) * det(3, 0)
-
-    alpha = eval_with(1.0, 0.0)
-    beta = eval_with(0.0, 1.0)
-    return FloatPoint(-beta, alpha)
-
-
 def _develop_across(tri, shapes, inst, face):
     """The developed neighbour of an instance through one of its faces."""
     other, sigma = tri.gluing(inst.tet, face)
@@ -149,11 +91,7 @@ def _develop_across(tri, shapes, inst, face):
     # solve the slot-0 cross-ratio relation for the missing vertex
     idx = _SLOT_ORDER[0].index(missing)
     slot_positions[idx] = None
-    z = shapes.shapes[other]
-    if shapes.exact:
-        positions[missing] = fourth_vertex(slot_positions, z)
-    else:
-        positions[missing] = _float_fourth_vertex(slot_positions, z)
+    positions[missing] = fourth_vertex(slot_positions, shapes.shapes[other])
     return DevelopedTet(other, positions, inst.depth + 1,
                         inst.path + ((inst.tet, face),))
 
@@ -161,13 +99,8 @@ def _develop_across(tri, shapes, inst, face):
 def _base_instance(tet, z):
     # vertices 0, 1, 2 at 0, 1, oo; the cross-ratio convention then places
     # vertex 3 at 1/(1-z) so that the {01} edge carries the shape z
-    if isinstance(z, GaussianRational):
-        return DevelopedTet(tet, (point(0), point(1), INFINITY,
-                                  point(ONE / (ONE - z))), 0)
-    z = complex(z)
-    return DevelopedTet(tet, (FloatPoint(0.0), FloatPoint(1.0),
-                              FloatPoint(1.0, 0.0),
-                              FloatPoint(1.0 / (1.0 - z))), 0)
+    return DevelopedTet(tet, (point(0), point(1), INFINITY,
+                              point(ONE / (ONE - z))), 0)
 
 
 def _edge_lifts(skeleton, inst):
@@ -180,8 +113,6 @@ def _edge_lifts(skeleton, inst):
 
 
 def _check_cross_ratios(shapes, inst):
-    if not shapes.exact:
-        return
     for slot in range(3):
         order = _SLOT_ORDER[slot]
         got = cross_ratio_shape(*(inst.positions[v] for v in order))
@@ -194,20 +125,17 @@ def _check_cross_ratios(shapes, inst):
 def develop_and_scan(tri_or_skeleton, shapes, radius=3, cluster_cap=200):
     """
     Exact developing scan to the given combinatorial radius plus a
-    per-cluster scan of the flat subcomplex.  Requires an exact shape
-    assignment passing verify_shapes.
+    per-cluster scan of the flat subcomplex.  Raises ShapeError unless
+    the shapes are exact and pass verify_shapes.
     """
-    skeleton = build_skeleton(tri_or_skeleton) if not hasattr(
-        tri_or_skeleton, "edge_classes") else tri_or_skeleton
+    skeleton = as_skeleton(tri_or_skeleton)
     tri = skeleton.triangulation
     if not isinstance(shapes, ShapeAssignment):
         shapes = ShapeAssignment(shapes)
-    report = verify_shapes(skeleton, shapes)
-    if not report.passed:
+    if not shapes.exact:
+        raise ShapeError("the development needs exact shapes")
+    if not verify_shapes(skeleton, shapes).passed:
         raise ShapeError("shape assignment fails the edge equations")
-    if not shapes.exact and shapes.flat_set():
-        raise ShapeError("flat tetrahedra need exact shapes for the "
-                         "cluster scan")
 
     # global breadth-first development
     base = _base_instance(0, shapes.shapes[0])

@@ -14,14 +14,8 @@ boundary tori, peripheral generators, and the loops needed for the
 essential / parallel edge tests are all words in the same generators.
 """
 from .presentation import Presentation, free_reduce, inverse_word, concat
-from .skeleton import build_skeleton
+from .skeleton import as_skeleton
 from .snf import abelian_invariants
-
-
-def _as_skeleton(obj):
-    if hasattr(obj, "edge_classes"):
-        return obj
-    return build_skeleton(obj)
 
 
 def presentation_closed(tri_or_skeleton):
@@ -30,7 +24,7 @@ def presentation_closed(tri_or_skeleton):
     vertex: generator i is edge class i with its stored orientation; each
     face class contributes the relator reading its three boundary edges.
     """
-    skeleton = _as_skeleton(tri_or_skeleton)
+    skeleton = as_skeleton(tri_or_skeleton)
     tri = skeleton.triangulation
     if not tri.is_closed():
         raise ValueError("triangulation has unglued faces")
@@ -117,7 +111,7 @@ class SpineData:
     """
 
     def __init__(self, tri_or_skeleton):
-        skeleton = _as_skeleton(tri_or_skeleton)
+        skeleton = as_skeleton(tri_or_skeleton)
         tri = skeleton.triangulation
         if not tri.is_closed():
             raise ValueError("triangulation has unglued faces")

@@ -13,7 +13,7 @@ import math
 from .angles import slot_of
 from .fundamental import SpineData
 from .gaussian import GaussianRational, as_gaussian, parse_gaussian, ONE
-from .skeleton import build_skeleton
+from .skeleton import as_skeleton
 
 
 class ShapeError(ValueError):
@@ -227,8 +227,7 @@ def verify_shapes(tri_or_skeleton, shapes):
     incident slot values (exact for exact input) and the argument sum in
     pi-units, plus the flat set.
     """
-    skeleton = build_skeleton(tri_or_skeleton) if not hasattr(
-        tri_or_skeleton, "edge_classes") else tri_or_skeleton
+    skeleton = as_skeleton(tri_or_skeleton)
     if not isinstance(shapes, ShapeAssignment):
         shapes = ShapeAssignment(shapes)
     if len(shapes) != skeleton.triangulation.tet_count:
@@ -279,8 +278,7 @@ def shapes_to_angles(tri_or_skeleton, shapes, tol=1e-9):
     imaginary parts positive this is a strict angle structure; flat
     tetrahedra contribute 0/1 entries.  Raises when verify_shapes fails.
     """
-    skeleton = build_skeleton(tri_or_skeleton) if not hasattr(
-        tri_or_skeleton, "edge_classes") else tri_or_skeleton
+    skeleton = as_skeleton(tri_or_skeleton)
     if not isinstance(shapes, ShapeAssignment):
         shapes = ShapeAssignment(shapes)
     report = verify_shapes(skeleton, shapes)

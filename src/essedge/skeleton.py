@@ -397,6 +397,13 @@ def build_skeleton(tri):
                            face_lookup, vertex_of)
 
 
+def as_skeleton(tri_or_skeleton):
+    """The skeleton of a triangulation, or the given skeleton itself."""
+    if hasattr(tri_or_skeleton, "edge_classes"):
+        return tri_or_skeleton
+    return build_skeleton(tri_or_skeleton)
+
+
 def _orient_link(triangles, side_gluing):
     """BFS-assign coherent orientations to link triangles; None when the
     link is non-orientable."""

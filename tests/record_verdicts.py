@@ -1,0 +1,80 @@
+"""
+Golden verdict JSON: a fixed set of certifications at a small budget.
+
+    PYTHONPATH=src python tests/record_verdicts.py
+
+writes tests/data/verdicts.json, which tests/test_verdicts.py compares
+with the current output byte for byte.  The inputs are the bundled
+fixtures m136, fig8 and q8 under every subset of the methods, m136 with
+its exact shapes under four subsets that reach the geometric tier, and
+two pillow outputs of m136 under the angle, homology and group methods
+and under all of them; each is certified essential and strongly
+essential.  Re-record only for a change that means to alter verdicts,
+and list what changed in its description.
+"""
+import importlib.resources
+import json
+import sys
+from itertools import combinations
+from pathlib import Path
+
+from essedge import (Budget, build_skeleton, parse_shapes,
+                     parse_triangulation)
+from essedge.certify import (ALL_METHODS, certify_essential,
+                             certify_strongly_essential)
+from essedge.moves import pillow_0_2
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "verdicts.json"
+BUDGET = Budget(coset_nodes=100, rewrite_steps=100, quotient_degree=2,
+                quotient_nodes=100, factor_depth=3, factor_nodes=200)
+METHOD_SUBSETS = [methods for k in range(len(ALL_METHODS) + 1)
+                  for methods in combinations(ALL_METHODS, k)]
+# each of these develops m136's exact shapes, the slowest step recorded
+GEOMETRY_SUBSETS = (("geometry",), ("angle", "geometry"),
+                    ("geometry", "group"), ALL_METHODS)
+PILLOW_SITES = ((0, (0, 1)), (2, (0, 2)))
+
+
+def _fixture(name):
+    return (importlib.resources.files("essedge") / "fixtures"
+            / name).read_text()
+
+
+def inputs():
+    """(name, triangulation, shapes, methods) for every certification."""
+    m136 = parse_triangulation(_fixture("m136.tri"))
+    shapes = parse_shapes(_fixture("m136_shapes.txt"))
+    fixtures = (("m136", m136),
+                ("fig8", parse_triangulation(_fixture("fig8.tri"))),
+                ("q8", parse_triangulation(_fixture("q8.tri"))))
+    out = [(name, tri, None, methods) for methods in METHOD_SUBSETS
+           for name, tri in fixtures]
+    out += [("m136+shapes", m136, shapes, methods)
+            for methods in GEOMETRY_SUBSETS]
+    skeleton = build_skeleton(m136)
+    for edge, sites in PILLOW_SITES:
+        tri, _record = pillow_0_2(m136, edge, sites, skeleton)
+        name = "m136 pillow %d %s" % (edge, sites)
+        out += [(name, tri, None, ("angle", "homology", "group")),
+                (name, tri, None, ALL_METHODS)]
+    return out
+
+
+def verdicts_text():
+    """The golden file's text for the current code."""
+    records = []
+    for name, tri, shapes, methods in inputs():
+        for mode, certify in (("essential", certify_essential),
+                              ("strongly", certify_strongly_essential)):
+            verdict = certify(tri, BUDGET, shapes, methods)
+            records.append({"input": name, "methods": list(methods),
+                            "mode": mode, "verdict": verdict.to_json()})
+    # one certification a line, so that a diff names the ones that changed
+    return "[\n%s\n]\n" % ",\n".join(json.dumps(r, default=str)
+                                      for r in records)
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(verdicts_text())
+    print("wrote %s" % GOLDEN, file=sys.stderr)

@@ -1,5 +1,11 @@
+import sys
+from collections import Counter
+
 import pytest
 
+import essedge.develop
+import essedge.fundamental
+import essedge.shapes
 from essedge import Triangulation, build_skeleton
 from essedge.certify import (certify_essential, certify_strongly_essential,
                              CertifyError)
@@ -95,3 +101,46 @@ def test_determinism(m136_skeleton, m136_shapes):
     a = certify_strongly_essential(m136_skeleton, shapes=m136_shapes)
     b = certify_strongly_essential(m136_skeleton, shapes=m136_shapes)
     assert a.to_json() == b.to_json()
+
+
+def _count_calls(monkeypatch, fn, calls):
+    """Count calls of fn through every essedge module holding it."""
+    def counted(*args, **kwargs):
+        calls[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "essedge" or name.startswith("essedge."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+@pytest.mark.parametrize("name, with_shapes, methods", [
+    ("m136", True, ("geometry", "group")),
+    ("m136", False, ("homology", "geometry")),
+    ("q8", False, ("angle", "homology", "geometry", "group")),
+])
+def test_each_fact_computed_once(request, monkeypatch, m136_shapes, name,
+                                 with_shapes, methods):
+    """The edge pass and the pair pass share the presentation, the spine,
+    the shape solution and the development."""
+    calls = Counter()
+    for fn in (essedge.fundamental.presentation_closed,
+               essedge.shapes.solve_shapes_newton,
+               essedge.develop.develop_and_scan):
+        _count_calls(monkeypatch, fn, calls)
+    spine_init = essedge.fundamental.SpineData.__init__
+
+    def counted_init(self, *args):
+        calls["SpineData"] += 1
+        spine_init(self, *args)
+
+    monkeypatch.setattr(essedge.fundamental.SpineData, "__init__",
+                        counted_init)
+    skeleton = request.getfixturevalue(name + "_skeleton")
+    verdict = certify_strongly_essential(
+        skeleton, shapes=m136_shapes if with_shapes else None,
+        methods=methods)
+    assert set(calls.values()) <= {1}, calls
+    assert len(set(verdict.method_log)) == len(verdict.method_log)

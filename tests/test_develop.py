@@ -1,9 +1,10 @@
 import pytest
 
 import essedge.develop
-from essedge.develop import develop_and_scan, _SLOT_ORDER, FloatPoint
+from essedge.develop import develop_and_scan, _SLOT_ORDER
 from essedge.gaussian import cross_ratio_shape, Moebius
-from essedge.shapes import solve_shapes_newton, ShapeAssignment, ShapeError
+from essedge.shapes import (solve_shapes_newton, ShapeAssignment, ShapeError,
+                            verify_shapes)
 from essedge.gaussian import parse_gaussian
 
 
@@ -74,29 +75,14 @@ def test_scan_is_frame_independent(m136_skeleton, m136_shapes):
     assert moved.is_parabolic()
 
 
-def test_fig8_float_scan(fig8_skeleton):
+def test_develop_rejects_float_shapes(fig8_skeleton):
+    """Newton's floating solution verifies, but only exact shapes are
+    developed."""
     solution = solve_shapes_newton(fig8_skeleton)
-    report = develop_and_scan(fig8_skeleton, solution, radius=2)
-    assert all(report.edge_endpoints_distinct.values())
-    assert report.coincident_edges == []
-    assert report.clusters == []
-    assert report.conclusive_for_flat_clusters
-
-
-def test_equal_float_points_hash_alike():
-    pairs = [(FloatPoint(4.999999e-7), FloatPoint(5.000001e-7)),
-             (FloatPoint(0.25 + 0.5j), FloatPoint(0.25 + 0.5j + 1e-12)),
-             (FloatPoint(2.0, 4.0), FloatPoint(0.5)),
-             (FloatPoint(1.0, 0.0), FloatPoint(3.0, 1e-13)),
-             (FloatPoint(1.0, 0.0), FloatPoint(1e6))]
-    for p, q in pairs:
-        if p == q:
-            assert hash(p) == hash(q)
-            assert len({p, q}) == 1
-        else:
-            assert len({p, q}) == 2
-    assert FloatPoint(0.25 + 0.5j) == FloatPoint(0.25 + 0.5j + 1e-12)
-    assert FloatPoint(1.0, 0.0) == FloatPoint(3.0, 1e-13)
+    assert verify_shapes(fig8_skeleton, solution).passed
+    assert not solution.exact
+    with pytest.raises(ShapeError, match="exact"):
+        develop_and_scan(fig8_skeleton, solution, radius=2)
 
 
 def test_radius_zero(m136_skeleton, m136_shapes):
