@@ -41,9 +41,6 @@ class AngleVector:
     def is_semi(self):
         return all(x >= 0 for x in self.entries)
 
-    def is_strict(self):
-        return all(x > 0 for x in self.entries)
-
     def is_taut(self):
         return all(x in (0, 1) for x in self.entries)
 

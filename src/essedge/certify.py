@@ -5,23 +5,26 @@ A certification is one pass over one analysis of the triangulation.  The
 analysis builds each fact it needs on first use, once: the skeleton and
 its case (a closed one-vertex triangulation, or an ideal one with torus
 cusps), the presentation of pi_1 (edge generators when closed, the dual
-spine when ideal), the exact verified shape solution and its developing
-scan.  `certify_essential` runs the edge pass over it;
-`certify_strongly_essential` runs the strict angle LP, the edge pass and
-then the pair pass.
+spine when ideal), the exact verified geometric shape solution and the
+scan of its flat clusters.  `certify_essential` runs the edge pass over
+it; `certify_strongly_essential` runs the strict angle LP, the edge pass
+and then the pair pass.
 
 Both passes are cascaded from cheap and global to expensive and local:
 angle-structure LPs first (a semi-angle structure makes every edge
 essential, a strict one additionally rules out parallel edges), then
-abelianisation, then the developing-map scan of the exact shapes, and
-finally budgeted group search.  The case supplies the group questions,
-each asking whether a word lies in a double coset H2·H1: an edge is
-inessential when its loop lies in its peripheral subgroup, and two edges
-are parallel when one of their words lies in its double coset.  In the
-closed case the subgroups are trivial and the pair words are i·j^-1 and
-i·j.  The case also tags the certificates.  Every yes/no answer carries
-the certificate that produced it; unknown is an honest outcome carrying
-the exhausted budget.
+abelianisation, then geometry (a verified shape solution makes every
+edge essential, and the flat-cluster scan of a geometric one decides
+every pair), and finally budgeted group search.  Angle structures and
+shapes belong to the ideal case, so a closed triangulation runs only
+the homology and group tiers its methods name.  The case supplies the
+group questions, each asking whether a word lies in a double coset
+H2·H1: an edge is inessential when its loop lies in its peripheral
+subgroup, and two edges are parallel when one of their words lies in its
+double coset.  In the closed case the subgroups are trivial and the pair
+words are i·j^-1 and i·j.  The case also tags the certificates.  Every
+yes/no answer carries the certificate that produced it; unknown is an
+honest outcome carrying the exhausted budget.
 """
 from fractions import Fraction
 from functools import cached_property
@@ -57,6 +60,10 @@ class EdgeVerdict:
 
 
 class TriangulationVerdict:
+    """The verdicts of one certification.  Every edge or pair decided by
+    one global certificate (an angle structure or the shape solution)
+    holds that one certificate object, so certificates are read-only."""
+
     def __init__(self, essential, strongly_essential, edge_verdicts,
                  pair_table, method_log):
         self.essential = essential
@@ -110,8 +117,11 @@ def _rationalize(value, max_denominator=10 ** 6):
 
 
 def _exact_shapes(spine, shapes, log):
-    """An exact verified shape solution (with exact completeness), from
-    the given shapes or by Newton solving and rationalising."""
+    """An exact verified geometric shape solution (with exact
+    completeness), from the given shapes or by Newton solving and
+    rationalising.  A negatively oriented tetrahedron could overlap its
+    neighbours, which the flat-cluster scan assumes away, so such a
+    solution is skipped."""
     if shapes is not None:
         if not isinstance(shapes, ShapeAssignment):
             shapes = ShapeAssignment(shapes)
@@ -132,6 +142,11 @@ def _exact_shapes(spine, shapes, log):
         except ShapeError:
             log.append("geometry: rationalisation degenerate; skipped")
             return None
+    negative = [t for t, z in enumerate(candidate.shapes) if z.im < 0]
+    if negative:
+        log.append("geometry: negatively oriented tetrahedra %s; skipped"
+                   % negative)
+        return None
     report = verify_shapes(spine.skeleton, candidate)
     if not report.passed:
         log.append("geometry: exact edge equations fail; skipped")
@@ -167,19 +182,23 @@ class _Analysis:
         return self.spine.presentation
 
     @cached_property
+    def exact_shapes(self):
+        """The exact verified geometric shape solution, or None."""
+        return _exact_shapes(self.spine, self.shapes, self.log)
+
+    @cached_property
     def development(self):
-        """The developing scan of the exact shapes, or None without
+        """The flat-cluster scan of the exact shapes, or None without
         them."""
-        exact = _exact_shapes(self.spine, self.shapes, self.log)
+        exact = self.exact_shapes
         return None if exact is None else develop_and_scan(self.skeleton,
                                                            exact)
 
     def uses(self, method):
-        """Whether a tier runs.  The closed case has no angle structures
-        or shapes, and abelianisation is a step of its group decider."""
-        if self.closed:
-            return method == "group" and not {"homology", "group"}.isdisjoint(
-                self.methods)
+        """Whether a tier runs.  A closed triangulation has no angle
+        structures or shapes."""
+        if self.closed and method in ("angle", "geometry"):
+            return False
         return method in self.methods
 
     def edge_question(self, e):
@@ -211,6 +230,15 @@ class _Analysis:
                 word, h2, h1 = data
                 yield flip, word, h1, h2
 
+    def homology_certificate(self, image):
+        """The certificate of an edge whose loop's image in homology lies
+        outside the span of its subgroup; closed, it is the one the group
+        decider gives."""
+        if self.closed:
+            return {"kind": "homology",
+                    "detail": {"kind": "abelianization", "image": image}}
+        return {"kind": "homology", "image": image}
+
     def certificate(self, verdict, flip=None):
         """The case's certificate for a definite group answer to an edge
         question (flip None) or a pair question."""
@@ -232,8 +260,8 @@ def _edge_pass(a):
         if solve_angle_lp(a.skeleton, "semi").feasible:
             a.log.append("angle: semi-angle structure found; all edges "
                          "essential")
-            return [EdgeVerdict(e, "yes", {"kind": "semi_angle"})
-                    for e in edges]
+            certificate = {"kind": "semi_angle"}
+            return [EdgeVerdict(e, "yes", certificate) for e in edges]
         a.log.append("angle: no semi-angle structure")
     verdicts, questions = {}, {}
     for e in edges:
@@ -253,22 +281,18 @@ def _edge_pass(a):
             columns = ([pres.exponent_vector(h) for h in subgroup]
                        + pres.relator_matrix())
             if not in_column_span(columns, target):
-                verdicts[e] = EdgeVerdict(e, "yes", {"kind": "homology",
-                                                     "image": target})
-        if any(v.certificate["kind"] == "homology"
-               for v in verdicts.values()):
-            a.log.append("homology: peripheral lattice separation applied")
-    report = a.development if a.uses("geometry") and undecided() else None
-    if report is not None:
-        for e, _question in undecided():
-            distinct = report.edge_endpoints_distinct.get(e)
-            if distinct is False:
-                verdicts[e] = EdgeVerdict(e, "no", {
-                    "kind": "geometric_endpoints",
-                    "witness": repr(report.coincident_edges)})
-            elif distinct:
                 verdicts[e] = EdgeVerdict(e, "yes",
-                                          {"kind": "geometric_endpoints"})
+                                          a.homology_certificate(target))
+        if not a.closed and any(v.certificate["kind"] == "homology"
+                                for v in verdicts.values()):
+            a.log.append("homology: peripheral lattice separation applied")
+    # Under a verified shape solution every edge is essential: each
+    # tetrahedron develops with its shapes, none of them 0, 1 or oo, as
+    # cross-ratios, so the endpoints of every lift of an edge are distinct.
+    if a.uses("geometry") and undecided() and a.exact_shapes is not None:
+        certificate = {"kind": "geometric_endpoints"}
+        for e, _question in undecided():
+            verdicts[e] = EdgeVerdict(e, "yes", certificate)
     if a.uses("group"):
         for e, (word, subgroup) in undecided():
             verdict = decide_double_coset(a.presentation, subgroup, (), word,
@@ -282,7 +306,7 @@ def _edge_pass(a):
     if a.uses("group") or not a.closed:
         unknown["budget"] = a.budgets.to_json()
     for e, _question in undecided():
-        verdicts[e] = EdgeVerdict(e, "unknown", dict(unknown))
+        verdicts[e] = EdgeVerdict(e, "unknown", unknown)
     return [verdicts[e] for e in edges]
 
 
@@ -317,15 +341,15 @@ def _pair_pass(a):
     elif report is not None:
         a.log.append("geometry: flat-cluster scan not conclusive")
     pairs = {}
+    scan, unknown = {"kind": "geometric_scan"}, {"kind": "budget_exhausted"}
     for pair in combinations(range(len(a.skeleton.edge_classes)), 2):
         if coincident is not None:
             state = "parallel" if pair in coincident else "not_parallel"
-            pairs[pair] = (state, {"kind": "geometric_scan"})
-        # the closed case asks its pair questions whatever the methods
-        elif a.closed or a.uses("group"):
+            pairs[pair] = (state, scan)
+        elif a.uses("group"):
             pairs[pair] = _pair_verdict(a, *pair)
         else:
-            pairs[pair] = ("unknown", {"kind": "budget_exhausted"})
+            pairs[pair] = ("unknown", unknown)
     return pairs
 
 
@@ -346,7 +370,8 @@ def certify_strongly_essential(tri, budgets=None, shapes=None,
         if strict.feasible:
             a.log.append("angle: strict angle structure (t* = %s); strongly "
                          "essential" % strict.optimum)
-            edges = [EdgeVerdict(e.index, "yes", {"kind": "strict_angle"})
+            certificate = {"kind": "strict_angle"}
+            edges = [EdgeVerdict(e.index, "yes", certificate)
                      for e in a.skeleton.edge_classes]
             return TriangulationVerdict("yes", "yes", edges, {}, a.log)
         a.log.append("angle: strict optimum %s; no strict angle structure"

@@ -41,9 +41,6 @@ class CosetTable:
             coset = self.step(coset, x)
         return coset
 
-    def generator_permutation(self, g):
-        return [row[2 * g] for row in self.rows]
-
     def verify(self):
         """Replay the certificate: the table is a genuine action where all
         relators act trivially and the subgroup generators fix coset 0."""

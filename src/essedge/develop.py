@@ -1,19 +1,24 @@
 """
-Bounded developing-map scan for a verified exact shape solution: place one
-tetrahedron at (0, 1, oo, z), develop across face gluings by exact
-cross-ratio, and look for edge lifts with coincident endpoints or pairs of
-lifts of distinct edge classes sharing both endpoints.
+Flat-cluster scan of a verified exact shape solution.
 
-Every tetrahedron with positive volume meets its neighbours only along
-faces, so a parallel pair of edges forces a walk between the two lifts
-through flat tetrahedra.  The scan therefore treats each connected
-cluster of flat tetrahedra separately.  A linear cluster is first walked
-once around and settled by its holonomy: a parabolic period means the
-development closes up under that translation, and its lifts are scanned
-exactly modulo it.  Breadth-first development runs only for branching
-clusters, or when that walk is inconclusive, and is conclusive when the
-development is finite.  A conclusive cluster has a complete coincidence
-scan.
+No global development is needed to decide edges: under any solution of
+the gluing equations every edge is essential (Segerman and Tillmann),
+since each developed tetrahedron has its shapes, which lie outside
+{0, 1, oo}, as cross-ratios, so its four vertices are distinct.
+
+Parallel edges need more.  For a geometric solution (no shape with
+negative imaginary part) a tetrahedron with positive volume meets its
+neighbours only along faces, so a parallel pair of edges forces a walk
+between the two lifts through flat tetrahedra.  The scan therefore
+develops each connected cluster of flat tetrahedra separately: it places
+one member at (0, 1, oo, z), crosses face gluings by exact cross-ratio,
+and checks every instance it builds against the shapes.  A linear
+cluster is first walked once around and settled by its holonomy: a
+parabolic period means the development closes up under that translation,
+and its lifts are scanned exactly modulo it.  Breadth-first development
+runs only for branching clusters, or when that walk is inconclusive, and
+is conclusive when the development is finite.  A conclusive cluster has
+a complete coincidence scan.
 """
 from .gaussian import (INFINITY, Moebius, ONE, ZERO, point, fourth_vertex,
                        cross_ratio_shape, moebius_between)
@@ -26,21 +31,17 @@ _SLOT_ORDER = ((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
 
 
 class DevelopedTet:
-    __slots__ = ("tet", "positions", "depth", "path")
+    __slots__ = ("tet", "positions")
 
-    def __init__(self, tet, positions, depth, path=()):
+    def __init__(self, tet, positions):
         self.tet = tet
         self.positions = tuple(positions)
-        self.depth = depth
-        # (tet, face) crossings from the base instance
-        self.path = tuple(path)
 
     def key(self):
         return (self.tet, self.positions)
 
     def __repr__(self):
-        return "DevelopedTet(%d, %s, depth %d)" % (self.tet, self.positions,
-                                                   self.depth)
+        return "DevelopedTet(%d, %s)" % (self.tet, self.positions)
 
 
 class ClusterScan:
@@ -59,13 +60,7 @@ class ClusterScan:
 
 
 class DevelopReport:
-    def __init__(self, radius, instances, edge_endpoints_distinct,
-                 coincident_edges, parallel_candidates, clusters):
-        self.radius = radius
-        self.instances = instances
-        self.edge_endpoints_distinct = edge_endpoints_distinct
-        self.coincident_edges = coincident_edges
-        self.parallel_candidates = parallel_candidates
+    def __init__(self, clusters):
         self.clusters = clusters
 
     @property
@@ -73,11 +68,7 @@ class DevelopReport:
         return all(c.conclusive for c in self.clusters)
 
     def __repr__(self):
-        return ("DevelopReport(radius %d, %d instances, coincident=%s, "
-                "candidates=%s, conclusive_for_flat_clusters=%s)"
-                % (self.radius, len(self.instances), self.coincident_edges,
-                   self.parallel_candidates,
-                   self.conclusive_for_flat_clusters))
+        return "DevelopReport(%s)" % (self.clusters,)
 
 
 def _develop_across(tri, shapes, inst, face):
@@ -92,15 +83,15 @@ def _develop_across(tri, shapes, inst, face):
     idx = _SLOT_ORDER[0].index(missing)
     slot_positions[idx] = None
     positions[missing] = fourth_vertex(slot_positions, shapes.shapes[other])
-    return DevelopedTet(other, positions, inst.depth + 1,
-                        inst.path + ((inst.tet, face),))
+    return _check_cross_ratios(shapes, DevelopedTet(other, positions))
 
 
-def _base_instance(tet, z):
+def _base_instance(shapes, tet):
     # vertices 0, 1, 2 at 0, 1, oo; the cross-ratio convention then places
     # vertex 3 at 1/(1-z) so that the {01} edge carries the shape z
-    return DevelopedTet(tet, (point(0), point(1), INFINITY,
-                              point(ONE / (ONE - z))), 0)
+    z = shapes.shapes[tet]
+    return _check_cross_ratios(shapes, DevelopedTet(
+        tet, (point(0), point(1), INFINITY, point(ONE / (ONE - z)))))
 
 
 def _edge_lifts(skeleton, inst):
@@ -113,20 +104,22 @@ def _edge_lifts(skeleton, inst):
 
 
 def _check_cross_ratios(shapes, inst):
-    for slot in range(3):
-        order = _SLOT_ORDER[slot]
+    """The instance, once its cross-ratios are checked against its
+    shapes."""
+    for slot, order in enumerate(_SLOT_ORDER):
         got = cross_ratio_shape(*(inst.positions[v] for v in order))
         if got != shapes.slot_value(inst.tet, slot):
             raise ShapeError(
                 "developed cross-ratio mismatch on tetrahedron %d slot %d"
                 % (inst.tet, slot))
+    return inst
 
 
-def develop_and_scan(tri_or_skeleton, shapes, radius=3, cluster_cap=200):
+def develop_and_scan(tri_or_skeleton, shapes, cluster_cap=200):
     """
-    Exact developing scan to the given combinatorial radius plus a
-    per-cluster scan of the flat subcomplex.  Raises ShapeError unless
-    the shapes are exact and pass verify_shapes.
+    The scan of every flat cluster of exact shapes.  Raises ShapeError
+    unless the shapes are exact and pass verify_shapes, or if a developed
+    instance's cross-ratios differ from its shapes.
     """
     skeleton = as_skeleton(tri_or_skeleton)
     tri = skeleton.triangulation
@@ -136,56 +129,9 @@ def develop_and_scan(tri_or_skeleton, shapes, radius=3, cluster_cap=200):
         raise ShapeError("the development needs exact shapes")
     if not verify_shapes(skeleton, shapes).passed:
         raise ShapeError("shape assignment fails the edge equations")
-
-    # global breadth-first development
-    base = _base_instance(0, shapes.shapes[0])
-    _check_cross_ratios(shapes, base)
-    seen = {base.key(): base}
-    frontier = [base]
-    for _ in range(radius):
-        nxt = []
-        for inst in frontier:
-            for face in range(4):
-                if tri.gluing(inst.tet, face) is None:
-                    continue
-                new = _develop_across(tri, shapes, inst, face)
-                if new.key() not in seen:
-                    _check_cross_ratios(shapes, new)
-                    seen[new.key()] = new
-                    nxt.append(new)
-        frontier = nxt
-    instances = list(seen.values())
-
-    edge_distinct = {}
-    coincident = []
-    lift_index = {}
-    candidates = {}
-    for inst in instances:
-        for cls, p, q in _edge_lifts(skeleton, inst):
-            if p == q:
-                if cls not in [c[0] for c in coincident]:
-                    coincident.append((cls, p))
-                edge_distinct[cls] = False
-            else:
-                edge_distinct.setdefault(cls, True)
-                # record lifts by endpoint pair; a pair seen under two
-                # distinct classes is a parallel candidate, reported with
-                # the development paths connecting the base to both lifts
-                hit = lift_index.setdefault(frozenset((p, q)), {})
-                for other_cls, other_path in hit.items():
-                    if other_cls != cls:
-                        key = tuple(sorted((cls, other_cls))) + (p, q)
-                        candidates.setdefault(
-                            key, {"classes": tuple(sorted((cls, other_cls))),
-                                  "endpoints": (p, q),
-                                  "paths": (other_path, inst.path)})
-                hit.setdefault(cls, inst.path)
-    candidates = [candidates[k] for k in sorted(candidates, key=repr)]
-
-    clusters = [_scan_cluster(tri, skeleton, shapes, cluster, cluster_cap)
-                for cluster in _flat_clusters(tri, shapes)]
-    return DevelopReport(radius, instances, edge_distinct, coincident,
-                         candidates, clusters)
+    return DevelopReport([_scan_cluster(tri, skeleton, shapes, cluster,
+                                        cluster_cap)
+                          for cluster in _flat_clusters(tri, shapes)])
 
 
 def _flat_clusters(tri, shapes):
@@ -230,8 +176,7 @@ def _scan_cluster(tri, skeleton, shapes, cluster, cap):
         walk = _scan_linear_cluster(tri, skeleton, shapes, cluster, cap)
         if walk.conclusive:
             return walk
-    base_tet = cluster[0]
-    base = _base_instance(base_tet, shapes.shapes[base_tet])
+    base = _base_instance(shapes, cluster[0])
     seen = {base.key(): base}
     order = [base]
     frontier = [base]
@@ -261,7 +206,7 @@ def _scan_cluster(tri, skeleton, shapes, cluster, cap):
 
 def _scan_linear_cluster(tri, skeleton, shapes, cluster, cap):
     base_tet = cluster[0]
-    base = _base_instance(base_tet, shapes.shapes[base_tet])
+    base = _base_instance(shapes, base_tet)
     line = [base]
     prev_key = None
     inst = base

@@ -74,9 +74,6 @@ class GaussianRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def is_real(self):
-        return self.im == 0
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
@@ -217,26 +214,14 @@ def fourth_vertex(slot_positions, z):
     def eval_with(u):
         ps = list(slot_positions)
         ps[k] = u
-        num = _det_raw(ps[2], ps[0]) * _det_raw(ps[3], ps[1])
-        den = _det_raw(ps[2], ps[1]) * _det_raw(ps[3], ps[0])
+        num = det2(ps[2], ps[0]) * det2(ps[3], ps[1])
+        den = det2(ps[2], ps[1]) * det2(ps[3], ps[0])
         return num - z * den
 
-    alpha = eval_with(_RawPoint(ONE, ZERO))
-    beta = eval_with(_RawPoint(ZERO, ONE))
-    # alpha * x + beta * y = 0
+    # linear in the missing point (x : y): alpha * x + beta * y = 0
+    alpha = eval_with(INFINITY)
+    beta = eval_with(point(0))
     return ProjectivePoint(-beta, alpha)
-
-
-class _RawPoint:
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        self.x = x
-        self.y = y
-
-
-def _det_raw(p, q):
-    return p.x * q.y - q.x * p.y
 
 
 class Moebius:

@@ -43,15 +43,9 @@ class ShapeAssignment:
         self.exact = exact and all(isinstance(z, GaussianRational)
                                    for z in values)
         for t, z in enumerate(self.shapes):
-            if self._bad(z):
+            if z == 0 or z == 1:
                 raise ShapeError("tetrahedron %d has degenerate shape %r"
                                  % (t, z))
-
-    @staticmethod
-    def _bad(z):
-        if isinstance(z, GaussianRational):
-            return z == 0 or z == 1
-        return z == 0 or z == 1
 
     def __len__(self):
         return len(self.shapes)

@@ -97,10 +97,6 @@ class VertexLink:
         self.surface_kind = surface_kind
         self.has_boundary = has_boundary
 
-    @property
-    def triangle_count(self):
-        return len(self.structure.triangles)
-
     def __repr__(self):
         return "VertexLink(%d, %s, chi=%d)" % (
             self.index, self.surface_kind, self.euler_characteristic)
@@ -153,9 +149,6 @@ class SkeletonSummary:
         """V - E + F - T of the pseudo-manifold."""
         return (self.vertex_count - self.edge_count + self.face_count
                 - self.triangulation.tet_count)
-
-    def edge_class_of(self, tet, a, b):
-        return self.edge_lookup[(tet, a, b)][0]
 
     def degrees(self):
         return tuple(e.degree for e in self.edge_classes)

@@ -6,19 +6,22 @@ Golden verdict JSON: a fixed set of certifications at a small budget.
 writes tests/data/verdicts.json, which tests/test_verdicts.py compares
 with the current output byte for byte.  The inputs are the bundled
 fixtures m136, fig8 and q8 under every subset of the methods, m136 with
-its exact shapes under four subsets that reach the geometric tier, and
-two pillow outputs of m136 under the angle, homology and group methods
-and under all of them; each is certified essential and strongly
-essential.  Re-record only for a change that means to alter verdicts,
-and list what changed in its description.
+its exact shapes under four subsets that reach the geometric tier, two
+seeded tetrahedron relabellings of m136 with its shapes permuted to
+match under geometry alone and under all methods, and two pillow outputs
+of m136 under the angle, homology and group methods and under all of
+them; each is certified essential and strongly essential.  Re-record
+only for a change that means to alter verdicts, and list what changed
+in its description.
 """
 import importlib.resources
 import json
+import random
 import sys
 from itertools import combinations
 from pathlib import Path
 
-from essedge import (Budget, build_skeleton, parse_shapes,
+from essedge import (Budget, ShapeAssignment, build_skeleton, parse_shapes,
                      parse_triangulation)
 from essedge.certify import (ALL_METHODS, certify_essential,
                              certify_strongly_essential)
@@ -33,11 +36,23 @@ METHOD_SUBSETS = [methods for k in range(len(ALL_METHODS) + 1)
 GEOMETRY_SUBSETS = (("geometry",), ("angle", "geometry"),
                     ("geometry", "group"), ALL_METHODS)
 PILLOW_SITES = ((0, (0, 1)), (2, (0, 2)))
+RELABELLING_SEEDS = (1, 2)
 
 
 def _fixture(name):
     return (importlib.resources.files("essedge") / "fixtures"
             / name).read_text()
+
+
+def relabelled(tri, shapes, seed):
+    """A seeded tetrahedron relabelling of tri with its shapes moved to
+    match."""
+    tet_map = list(range(tri.tet_count))
+    random.Random(seed).shuffle(tet_map)
+    moved = [None] * tri.tet_count
+    for t, z in enumerate(shapes.shapes):
+        moved[tet_map[t]] = z
+    return tri.relabelled(tet_map), ShapeAssignment(moved)
 
 
 def inputs():
@@ -51,6 +66,10 @@ def inputs():
            for name, tri in fixtures]
     out += [("m136+shapes", m136, shapes, methods)
             for methods in GEOMETRY_SUBSETS]
+    for seed in RELABELLING_SEEDS:
+        tri, moved = relabelled(m136, shapes, seed)
+        out += [("m136 relabelled %d" % seed, tri, moved, methods)
+                for methods in (("geometry",), ALL_METHODS)]
     skeleton = build_skeleton(m136)
     for edge, sites in PILLOW_SITES:
         tri, _record = pillow_0_2(m136, edge, sites, skeleton)

@@ -3,10 +3,11 @@ from collections import Counter
 
 import pytest
 
+import essedge.decide
 import essedge.develop
 import essedge.fundamental
 import essedge.shapes
-from essedge import Triangulation, build_skeleton
+from essedge import ShapeAssignment, Triangulation, build_skeleton
 from essedge.certify import (certify_essential, certify_strongly_essential,
                              CertifyError)
 from essedge.decide import Budget
@@ -144,3 +145,76 @@ def test_each_fact_computed_once(request, monkeypatch, m136_shapes, name,
         methods=methods)
     assert set(calls.values()) <= {1}, calls
     assert len(set(verdict.method_log)) == len(verdict.method_log)
+
+
+def test_verified_shapes_make_every_edge_essential(monkeypatch, m136_skeleton,
+                                                   m136_shapes):
+    """The geometric edge tier reads the verified solution alone: it
+    develops nothing."""
+    calls = Counter()
+    _count_calls(monkeypatch, essedge.develop.develop_and_scan, calls)
+    verdict = certify_essential(m136_skeleton, shapes=m136_shapes,
+                                methods=("geometry",))
+    assert verdict.essential == "yes"
+    assert [v.certificate for v in verdict.edge_verdicts] == [
+        {"kind": "geometric_endpoints"}] * 7
+    assert calls["develop_and_scan"] == 0
+
+
+def test_negatively_oriented_solution_skipped(m136_skeleton, m136_shapes):
+    """No fixture has a verified negatively oriented solution, so this
+    only shows that the guard fires before anything is verified."""
+    shapes = list(m136_shapes.shapes)
+    shapes[0] = shapes[0].conjugate()
+    for certify in (certify_essential, certify_strongly_essential):
+        verdict = certify(m136_skeleton, shapes=ShapeAssignment(shapes),
+                          methods=("geometry",))
+        assert verdict.method_log == [
+            "geometry: negatively oriented tetrahedra [0]; skipped"]
+        certificates = ([v.certificate for v in verdict.edge_verdicts]
+                        + [c for _, c in verdict.pair_table.values()])
+        assert not any(c["kind"].startswith("geometric")
+                       for c in certificates)
+
+
+@pytest.mark.parametrize("methods", [(), ("homology",)])
+def test_closed_case_honours_methods(monkeypatch, q8_skeleton, methods):
+    """Without the group tier a closed triangulation asks no group
+    question, for its edges or its pairs."""
+    calls = Counter()
+    _count_calls(monkeypatch, essedge.decide.decide_double_coset, calls)
+    verdict = certify_strongly_essential(q8_skeleton, methods=methods)
+    assert calls["decide_double_coset"] == 0
+    assert verdict.strongly_essential == "unknown"
+    assert all(state == "unknown" for state, _ in verdict.pair_table.values())
+    for v in verdict.edge_verdicts:
+        if methods:
+            # every edge of q8 is separated in homology, in the form the
+            # group decider gives
+            assert v.essential == "yes"
+            assert v.certificate["kind"] == "homology"
+            assert v.certificate["detail"]["kind"] == "abelianization"
+        else:
+            assert v.certificate == {"kind": "budget_exhausted"}
+
+
+@pytest.mark.parametrize("name, with_shapes, methods, strongly, kinds", [
+    ("m136", True, ("angle", "geometry"), True,
+     ["geometric_scan", "semi_angle"]),
+    ("m136", True, ("geometry",), False, ["geometric_endpoints"]),
+    ("fig8", False, ("angle",), True, ["strict_angle"]),
+])
+def test_global_certificate_stored_once(request, m136_shapes, name,
+                                        with_shapes, methods, strongly,
+                                        kinds):
+    """Every edge or pair one global certificate decides holds that one
+    object."""
+    certify = certify_strongly_essential if strongly else certify_essential
+    verdict = certify(request.getfixturevalue(name + "_skeleton"),
+                      shapes=m136_shapes if with_shapes else None,
+                      methods=methods)
+    certificates = ([v.certificate for v in verdict.edge_verdicts]
+                    + [c for _, c in verdict.pair_table.values()])
+    assert sorted({c["kind"] for c in certificates}) == kinds
+    for kind in kinds:
+        assert len({id(c) for c in certificates if c["kind"] == kind}) == 1

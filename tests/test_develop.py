@@ -1,18 +1,16 @@
 import pytest
 
 import essedge.develop
-from essedge.develop import develop_and_scan, _SLOT_ORDER
+from essedge.develop import (develop_and_scan, DevelopedTet, _SLOT_ORDER,
+                             _base_instance, _develop_across)
 from essedge.gaussian import cross_ratio_shape, Moebius
 from essedge.shapes import (solve_shapes_newton, ShapeAssignment, ShapeError,
                             verify_shapes)
 from essedge.gaussian import parse_gaussian
 
 
-def test_m136_scan_radius_three(m136_skeleton, m136_shapes):
-    report = develop_and_scan(m136_skeleton, m136_shapes, radius=3)
-    assert all(report.edge_endpoints_distinct.values())
-    assert report.coincident_edges == []
-    assert report.parallel_candidates == []
+def test_m136_flat_cluster_scan(m136_skeleton, m136_shapes):
+    report = develop_and_scan(m136_skeleton, m136_shapes)
     assert report.conclusive_for_flat_clusters
     assert len(report.clusters) == 1
     cluster = report.clusters[0]
@@ -36,7 +34,7 @@ def test_linear_cluster_settled_without_breadth_first_search(
         return develop_across(*args)
 
     monkeypatch.setattr(essedge.develop, "_develop_across", counted)
-    report = develop_and_scan(m136_skeleton, m136_shapes, radius=3)
+    report = develop_and_scan(m136_skeleton, m136_shapes)
     assert report.clusters[0].conclusive
     assert len(calls) < 200
 
@@ -45,8 +43,7 @@ def test_linear_cluster_walk_too_short(m136_skeleton, m136_shapes):
     """With a cap below the period the walk is inconclusive, the fallback
     breadth-first development is not finite either, and the walk's reason
     stands."""
-    report = develop_and_scan(m136_skeleton, m136_shapes, radius=0,
-                              cluster_cap=1)
+    report = develop_and_scan(m136_skeleton, m136_shapes, cluster_cap=1)
     cluster = report.clusters[0]
     assert cluster.tets == (3, 5)
     assert not cluster.conclusive
@@ -56,19 +53,54 @@ def test_linear_cluster_walk_too_short(m136_skeleton, m136_shapes):
     assert not report.conclusive_for_flat_clusters
 
 
-def test_developed_cross_ratios_reproduce_shapes(m136_skeleton, m136_shapes):
-    report = develop_and_scan(m136_skeleton, m136_shapes, radius=2)
-    for inst in report.instances:
-        for slot in range(3):
-            order = _SLOT_ORDER[slot]
-            value = cross_ratio_shape(*(inst.positions[v] for v in order))
-            assert value == m136_shapes.slot_value(inst.tet, slot)
+def test_developed_cross_ratios_reproduce_shapes(m136_skeleton, m136_shapes,
+                                                 monkeypatch):
+    """Developing across every glued face of every tetrahedron's base
+    instance reproduces the shapes, checked here without the scan's own
+    cross-ratio check."""
+    monkeypatch.setattr(essedge.develop, "_check_cross_ratios",
+                        lambda shapes, inst: inst)
+    tri = m136_skeleton.triangulation
+    for tet in range(tri.tet_count):
+        base = _base_instance(m136_shapes, tet)
+        # every face of m136 is glued
+        neighbours = [_develop_across(tri, m136_shapes, base, face)
+                      for face in range(4)]
+        for inst in [base] + neighbours:
+            for slot, order in enumerate(_SLOT_ORDER):
+                value = cross_ratio_shape(*(inst.positions[v]
+                                            for v in order))
+                assert value == m136_shapes.slot_value(inst.tet, slot)
+
+
+def test_every_developed_instance_is_checked(m136_skeleton, m136_shapes,
+                                             monkeypatch):
+    """One cross-ratio check per instance the cluster scans build."""
+    built, checked = [], []
+    check = essedge.develop._check_cross_ratios
+
+    class Counted(DevelopedTet):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    def counted_check(shapes, inst):
+        checked.append(inst.tet)
+        return check(shapes, inst)
+
+    monkeypatch.setattr(essedge.develop, "DevelopedTet", Counted)
+    monkeypatch.setattr(essedge.develop, "_check_cross_ratios",
+                        counted_check)
+    develop_and_scan(m136_skeleton, m136_shapes)
+    assert built and checked == built
 
 
 def test_scan_is_frame_independent(m136_skeleton, m136_shapes):
     """Coincidence patterns are Moebius-invariant, so the translated
     cluster translation stays parabolic with its fixed point moved."""
-    report = develop_and_scan(m136_skeleton, m136_shapes, radius=2)
+    report = develop_and_scan(m136_skeleton, m136_shapes)
     translation = report.clusters[0].translation
     conj = Moebius(1, 2, 3, 7)
     moved = conj.compose(translation).compose(conj.inverse())
@@ -82,17 +114,7 @@ def test_develop_rejects_float_shapes(fig8_skeleton):
     assert verify_shapes(fig8_skeleton, solution).passed
     assert not solution.exact
     with pytest.raises(ShapeError, match="exact"):
-        develop_and_scan(fig8_skeleton, solution, radius=2)
-
-
-def test_radius_zero(m136_skeleton, m136_shapes):
-    report = develop_and_scan(m136_skeleton, m136_shapes, radius=0)
-    assert len(report.instances) == 1
-    seen_edges = sorted(report.edge_endpoints_distinct)
-    base_edges = sorted({m136_skeleton.edge_lookup[(0, a, b)][0]
-                         for a in range(4) for b in range(4) if a != b})
-    assert seen_edges == base_edges
-    assert all(report.edge_endpoints_distinct.values())
+        develop_and_scan(fig8_skeleton, solution)
 
 
 def test_develop_rejects_unverified(m136_skeleton):
