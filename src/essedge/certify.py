@@ -10,35 +10,44 @@ scan of its flat clusters.  `certify_essential` runs the edge pass over
 it; `certify_strongly_essential` runs the strict angle LP, the edge pass
 and then the pair pass.
 
-Both passes are cascaded from cheap and global to expensive and local:
-angle-structure LPs first (a semi-angle structure makes every edge
-essential, a strict one additionally rules out parallel edges), then
-abelianisation, then geometry (a verified shape solution makes every
-edge essential, and the flat-cluster scan of a geometric one decides
-every pair), and finally budgeted group search.  Angle structures and
-shapes belong to the ideal case, so a closed triangulation runs only
-the homology and group tiers its methods name.  The case supplies the
-group questions, each asking whether a word lies in a double coset
-H2·H1: an edge is inessential when its loop lies in its peripheral
-subgroup, and two edges are parallel when one of their words lies in its
-double coset.  In the closed case the subgroups are trivial and the pair
-words are i·j^-1 and i·j.  The case also tags the certificates.  Every
-yes/no answer carries the certificate that produced it; unknown is an
-honest outcome carrying the exhausted budget.
+Both passes run the tiers in one order, the global certificates first:
+the angle-structure LP (a semi-angle structure makes every edge
+essential, a strict one also rules out parallel edges), then geometry (a
+verified shape solution makes every edge essential, and the flat-cluster
+scan of a geometric one decides every pair).  Then each subject, an edge
+or a pair, is answered from its group questions, each asking whether a
+word lies in a double coset H2·H1: an edge is inessential when its loop
+lies in its peripheral subgroup, and two edges are parallel when one of
+their words lies in its double coset.  An edge joining distinct cusps
+asks nothing and is essential; a pair whose ends match in neither
+orientation is not parallel.  In the closed case the subgroups are
+trivial and the pair words are i·j^-1 and i·j.  Homology, the
+abelianisation step of the one group decider, answers edges and pairs
+alike: alone when group search is not named, as the decider's first step
+when it is.  Angle structures and shapes belong to the ideal case, so a
+closed triangulation runs only the homology and group tiers its methods
+name.
+
+Every yes/no answer carries the certificate that produced it, tagged by
+its tier: {"kind": tag, "detail": the decider's certificate}, with the
+orientation "flip" of a parallel ideal pair.  Certificates without a
+witness (the global ones, "distinct_vertices", an ideal pair's
+"not parallel" and every unknown) are built once per certification.
+Unknown is an honest outcome; it names the budget when a group search
+ran out of it.
 """
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
 from .angles import solve_angle_lp
-from .decide import Budget, decide_double_coset
+from .decide import Budget, abelian_separation, decide_double_coset
 from .develop import develop_and_scan
 from .fundamental import SpineData, presentation_closed
 from .presentation import concat
 from .shapes import (ShapeAssignment, verify_shapes, completeness_products,
                      solve_shapes_newton, NewtonError, ShapeError)
 from .skeleton import as_skeleton
-from .snf import in_column_span
 from .gaussian import GaussianRational
 
 ALL_METHODS = ("angle", "homology", "geometry", "group")
@@ -170,6 +179,7 @@ class _Analysis:
         self.shapes = shapes
         self.methods = methods
         self.log = []
+        self._once = {}
 
     @cached_property
     def spine(self):
@@ -201,28 +211,37 @@ class _Analysis:
             return False
         return method in self.methods
 
-    def edge_question(self, e):
-        """(word, subgroup), edge e being inessential exactly when the word
-        lies in the subgroup; None for an ideal edge joining distinct
+    def once(self, kind, budget=False):
+        """The certification's one witness-free certificate of this kind,
+        naming the budget when a group search ran out of it.  Every subject
+        it answers holds the same object."""
+        key = kind, budget
+        if key not in self._once:
+            self._once[key] = ({"kind": kind, "budget": self.budgets.to_json()}
+                               if budget else {"kind": kind})
+        return self._once[key]
+
+    def edge_questions(self, e):
+        """(None, word, h1, ()), edge e being inessential exactly when the
+        word lies in h1; nothing for an ideal edge joining distinct
         vertices, which is essential since a path homotopy fixes both
         ends."""
         if self.closed:
-            return (e + 1,), ()
+            yield None, (e + 1,), (), ()
+            return
         t0, (a, b) = self.skeleton.edge_classes[e].corners[0]
         vertex = self.spine.vertex_of_end(t0, a)
-        if vertex != self.spine.vertex_of_end(t0, b):
-            return None
-        return (self.spine.edge_loop_word(e),
-                self.spine.peripheral(vertex).words)
+        if vertex == self.spine.vertex_of_end(t0, b):
+            yield (None, self.spine.edge_loop_word(e),
+                   self.spine.peripheral(vertex).words, ())
 
     def pair_questions(self, i, j):
         """(flip, word, h1, h2), edges i and j being parallel exactly when
         some word lies in its H2·H1.  An ideal orientation whose endpoints
         do not match up asks nothing."""
         if self.closed:
-            for word in (concat((i + 1,), (-(j + 1),)),
-                         concat((i + 1,), (j + 1,))):
-                yield None, word, (), ()
+            for sign in (-1, 1):
+                yield None, concat((i + 1,), (sign * (j + 1),)), (), ()
             return
         for flip in (False, True):
             data = self.spine.parallel_test_data(i, j, flip)
@@ -230,27 +249,59 @@ class _Analysis:
                 word, h2, h1 = data
                 yield flip, word, h1, h2
 
-    def homology_certificate(self, image):
-        """The certificate of an edge whose loop's image in homology lies
-        outside the span of its subgroup; closed, it is the one the group
-        decider gives."""
+    def tag(self, detail, flip):
+        """The tier tag of a definite group answer to an edge question (flip
+        None) or an ideal pair question."""
+        if detail["kind"] == "abelianization" and self.uses("homology"):
+            return "homology"
         if self.closed:
-            return {"kind": "homology",
-                    "detail": {"kind": "abelianization", "image": image}}
-        return {"kind": "homology", "image": image}
+            return "group_word"
+        return "group_membership" if flip is None else "group_double_coset"
 
-    def certificate(self, verdict, flip=None):
-        """The case's certificate for a definite group answer to an edge
-        question (flip None) or a pair question."""
-        detail = verdict.certificate
-        if self.closed:
-            kind = ("homology" if detail.get("kind") == "abelianization"
-                    else "group_word")
-            return {"kind": kind, "detail": detail}
-        if flip is None:
-            return {"kind": "group_membership", "detail": detail}
-        return {"kind": "group_double_coset", "flip": flip,
-                "detail": detail}
+    def certificate(self, verdict, flip):
+        """The tagged certificate of a definite group answer."""
+        certificate = {"kind": self.tag(verdict.certificate, flip)}
+        if flip is not None:
+            certificate["flip"] = flip
+        certificate["detail"] = verdict.certificate
+        return certificate
+
+    def answer(self, questions):
+        """Whether a subject, an edge or a pair, has a question whose word
+        lies in its double coset: "yes" at the first such question, "no"
+        when every one is answered no, else "unknown".  With the group tier
+        named the decider answers each question, and its abelianisation
+        step is the homology tier; with only homology named that step runs
+        alone.  A "no" carries its first question's certificate, except an
+        ideal pair's, which names its tier alone; an unknown names the
+        budget when the group tier searched it."""
+        verdicts = []
+        for flip, word, h1, h2 in questions:
+            if self.uses("group"):
+                verdict = decide_double_coset(self.presentation, h1, h2, word,
+                                              self.budgets)
+            elif self.uses("homology"):
+                verdict = abelian_separation(self.presentation, h1, h2, word)
+            else:
+                verdict = None
+            if verdict is None:
+                return "unknown", self.once("budget_exhausted")
+            if verdict.answer == "yes":
+                return "yes", self.certificate(verdict, flip)
+            verdicts.append(verdict)
+        if not verdicts:
+            return "no", self.once("distinct_vertices")
+        if any(v.answer == "unknown" for v in verdicts):
+            return "unknown", self.once("budget_exhausted", budget=True)
+        if flip is None:  # an edge or a closed pair
+            return "no", self.certificate(verdicts[0], None)
+        tags = {self.tag(v.certificate, flip) for v in verdicts}
+        return "no", self.once("homology" if tags == {"homology"}
+                               else "group_double_coset")
+
+
+_ESSENTIAL = {"yes": "no", "no": "yes", "unknown": "unknown"}
+_PAIR_STATE = {"yes": "parallel", "no": "not_parallel", "unknown": "unknown"}
 
 
 def _edge_pass(a):
@@ -260,73 +311,22 @@ def _edge_pass(a):
         if solve_angle_lp(a.skeleton, "semi").feasible:
             a.log.append("angle: semi-angle structure found; all edges "
                          "essential")
-            certificate = {"kind": "semi_angle"}
-            return [EdgeVerdict(e, "yes", certificate) for e in edges]
+            return [EdgeVerdict(e, "yes", a.once("semi_angle")) for e in edges]
         a.log.append("angle: no semi-angle structure")
-    verdicts, questions = {}, {}
-    for e in edges:
-        question = a.edge_question(e)
-        if question is None:
-            verdicts[e] = EdgeVerdict(e, "yes", {"kind": "distinct_vertices"})
-        else:
-            questions[e] = question
-
-    def undecided():
-        return [(e, q) for e, q in questions.items() if e not in verdicts]
-
-    if a.uses("homology"):
-        pres = a.presentation
-        for e, (word, subgroup) in undecided():
-            target = pres.exponent_vector(word)
-            columns = ([pres.exponent_vector(h) for h in subgroup]
-                       + pres.relator_matrix())
-            if not in_column_span(columns, target):
-                verdicts[e] = EdgeVerdict(e, "yes",
-                                          a.homology_certificate(target))
-        if not a.closed and any(v.certificate["kind"] == "homology"
-                                for v in verdicts.values()):
-            a.log.append("homology: peripheral lattice separation applied")
     # Under a verified shape solution every edge is essential: each
     # tetrahedron develops with its shapes, none of them 0, 1 or oo, as
     # cross-ratios, so the endpoints of every lift of an edge are distinct.
-    if a.uses("geometry") and undecided() and a.exact_shapes is not None:
-        certificate = {"kind": "geometric_endpoints"}
-        for e, _question in undecided():
-            verdicts[e] = EdgeVerdict(e, "yes", certificate)
-    if a.uses("group"):
-        for e, (word, subgroup) in undecided():
-            verdict = decide_double_coset(a.presentation, subgroup, (), word,
-                                          a.budgets)
-            if verdict.answer != "unknown":
-                essential = "yes" if verdict.answer == "no" else "no"
-                verdicts[e] = EdgeVerdict(e, essential,
-                                          a.certificate(verdict))
-    # only a closed edge that no decider was asked about names no budget
-    unknown = {"kind": "budget_exhausted"}
-    if a.uses("group") or not a.closed:
-        unknown["budget"] = a.budgets.to_json()
-    for e, _question in undecided():
-        verdicts[e] = EdgeVerdict(e, "unknown", unknown)
-    return [verdicts[e] for e in edges]
-
-
-def _pair_verdict(a, i, j):
-    """(state, certificate) of one pair from its group questions."""
-    answers, certificates = [], []
-    for flip, word, h1, h2 in a.pair_questions(i, j):
-        verdict = decide_double_coset(a.presentation, h1, h2, word,
-                                      a.budgets)
-        if verdict.answer == "yes":
-            return "parallel", a.certificate(verdict, flip)
-        answers.append(verdict.answer)
-        certificates.append(a.certificate(verdict, flip))
-    if not answers:
-        # no orientation matches the endpoints: never parallel
-        return "not_parallel", {"kind": "distinct_vertices"}
-    if all(answer == "no" for answer in answers):
-        return "not_parallel", (certificates[0] if a.closed
-                                else {"kind": "group_double_coset"})
-    return "unknown", {"kind": "budget_exhausted"}
+    if a.uses("geometry") and a.exact_shapes is not None:
+        return [EdgeVerdict(e, "yes", a.once("geometric_endpoints"))
+                for e in edges]
+    verdicts = []
+    for e in edges:
+        member, certificate = a.answer(a.edge_questions(e))
+        verdicts.append(EdgeVerdict(e, _ESSENTIAL[member], certificate))
+    if not a.closed and any(v.certificate["kind"] == "homology"
+                            for v in verdicts):
+        a.log.append("homology: peripheral lattice separation applied")
+    return verdicts
 
 
 def _pair_pass(a):
@@ -341,15 +341,13 @@ def _pair_pass(a):
     elif report is not None:
         a.log.append("geometry: flat-cluster scan not conclusive")
     pairs = {}
-    scan, unknown = {"kind": "geometric_scan"}, {"kind": "budget_exhausted"}
     for pair in combinations(range(len(a.skeleton.edge_classes)), 2):
         if coincident is not None:
             state = "parallel" if pair in coincident else "not_parallel"
-            pairs[pair] = (state, scan)
-        elif a.uses("group"):
-            pairs[pair] = _pair_verdict(a, *pair)
+            pairs[pair] = (state, a.once("geometric_scan"))
         else:
-            pairs[pair] = ("unknown", unknown)
+            member, certificate = a.answer(a.pair_questions(*pair))
+            pairs[pair] = (_PAIR_STATE[member], certificate)
     return pairs
 
 
@@ -370,8 +368,7 @@ def certify_strongly_essential(tri, budgets=None, shapes=None,
         if strict.feasible:
             a.log.append("angle: strict angle structure (t* = %s); strongly "
                          "essential" % strict.optimum)
-            certificate = {"kind": "strict_angle"}
-            edges = [EdgeVerdict(e.index, "yes", certificate)
+            edges = [EdgeVerdict(e.index, "yes", a.once("strict_angle"))
                      for e in a.skeleton.edge_classes]
             return TriangulationVerdict("yes", "yes", edges, {}, a.log)
         a.log.append("angle: strict optimum %s; no strict angle structure"

@@ -395,12 +395,18 @@ def decide_membership(presentation, subgroup_words, word, budget=None):
     return decide_double_coset(presentation, subgroup_words, (), word, budget)
 
 
-def _abelian_columns(presentation, h1_words, h2_words):
-    """The lattice a member's exponent vector must lie in: the subgroups'
-    exponent vectors and the relators."""
-    return ([presentation.exponent_vector(h) for h in h1_words]
-            + [presentation.exponent_vector(h) for h in h2_words]
-            + presentation.relator_matrix())
+def abelian_separation(presentation, h1_words, h2_words, word):
+    """The decider's abelianisation step, which also runs on its own: a "no"
+    verdict when the word's exponent vector lies outside the integer span
+    of the subgroups' and relators' exponent vectors, else None."""
+    target = presentation.exponent_vector(word)
+    columns = ([presentation.exponent_vector(h)
+                for h in list(h1_words) + list(h2_words)]
+               + presentation.relator_matrix())
+    if in_column_span(columns, target):
+        return None
+    return GroupVerdict("no", {"kind": "abelianization",
+                               "image": list(target)})
 
 
 def _product(words, factors):
@@ -440,11 +446,9 @@ def decide_double_coset(presentation, h1_words, h2_words, word, budget=None):
     if not word:
         return GroupVerdict("yes", {"kind": "factorization",
                                     "h2_factors": [], "h1_factors": []})
-    target = presentation.exponent_vector(word)
-    if not in_column_span(_abelian_columns(presentation, h1_words, h2_words),
-                          target):
-        return GroupVerdict("no", {"kind": "abelianization",
-                                   "image": list(target)})
+    separated = abelian_separation(presentation, h1_words, h2_words, word)
+    if separated is not None:
+        return separated
     # bounded literal factorisation: w = p2 * p1 after free reduction
     t1 = _product_table(h1_words, budget.factor_depth, budget.factor_nodes)
     t2 = _product_table(h2_words, budget.factor_depth, budget.factor_nodes)
@@ -547,9 +551,8 @@ def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
     if verdict.answer == "unknown":
         return kind == "budget_exhausted"
     if kind == "abelianization":
-        return verdict.answer == "no" and not in_column_span(
-            _abelian_columns(presentation, h1_words, h2_words),
-            presentation.exponent_vector(word))
+        return verdict.answer == "no" and abelian_separation(
+            presentation, h1_words, h2_words, word) is not None
     if kind == "factorization":
         return verdict.answer == "yes" and concat(
             _product(h2_words, cert["h2_factors"]),

@@ -15,7 +15,7 @@ essential / parallel edge tests are all words in the same generators.
 """
 from .presentation import Presentation, free_reduce, inverse_word, concat
 from .skeleton import as_skeleton
-from .snf import abelian_invariants
+from .snf import cokernel_reducer
 
 
 def presentation_closed(tri_or_skeleton):
@@ -198,10 +198,6 @@ class SpineData:
         cotree = tree.cotree_sides()
         cindex = {side: k for k, side in enumerate(cotree)}
 
-        def slot_pair(side):
-            a, b = sorted(side)
-            return a, b
-
         # corner rotation loops give the relations among cotree cycles
         rows = []
         ends = sorted({(t, v, w) for (t, v) in structure.triangles
@@ -222,7 +218,7 @@ class SpineData:
                 tv2, f2, sigma = structure.side_gluing[key]
                 side = frozenset([key, (tv2, f2)])
                 if side in cindex:
-                    lo, _hi = slot_pair(side)
+                    lo, _hi = sorted(side)
                     row[cindex[side]] += 1 if key == lo else -1
                 w2 = sigma(w)
                 t2, v2 = tv2
@@ -233,19 +229,25 @@ class SpineData:
                     break
             rows.append(row)
 
-        # pick the lex-least pair of cotree cycles generating H1 = Z^2
-        chosen = None
+        # the lex-least pair of cotree cycles generating H1 = Z^2: under one
+        # reduction map of Z^c modulo the rows, the unit vectors' images
+        # have exactly two nonzero coordinates, both free, and the pair's
+        # images have determinant +-1.  A torsion coordinate would reduce
+        # the sum of the negated unit vectors to a residue >= 0, not to
+        # minus the sum of the images' residues.
         c = len(cotree)
-        for i in range(c):
-            for j in range(i + 1, c):
-                ei = [1 if k == i else 0 for k in range(c)]
-                ej = [1 if k == j else 0 for k in range(c)]
-                inv = abelian_invariants(rows + [ei, ej], c)
-                if not inv:
-                    chosen = (i, j)
-                    break
-            if chosen:
-                break
+        reduce_vec = cokernel_reducer(rows, c)
+        images = [reduce_vec([int(k == i) for k in range(c)])
+                  for i in range(c)]
+        free = [x for x in range(c) if any(im[x] for im in images)]
+        chosen = None
+        if len(free) == 2 and reduce_vec([-1] * c) == tuple(
+                -sum(column) for column in zip(*images)):
+            p, q = free
+            chosen = next(((i, j) for i in range(c) for j in range(i + 1, c)
+                           if abs(images[i][p] * images[j][q]
+                                  - images[i][q] * images[j][p]) == 1),
+                          None)
         if chosen is None:
             raise ValueError("no pair of cotree cycles generates the link "
                              "homology (vertex %d)" % vertex)
@@ -253,7 +255,7 @@ class SpineData:
         words = []
         curves = []
         for k in chosen:
-            lo, hi = slot_pair(cotree[k])
+            lo, hi = sorted(cotree[k])
             crossings = (tree.path_crossings(lo[0]) + [lo]
                          + [self._invert_crossing(vertex, x) for x in
                             reversed(tree.path_crossings(hi[0]))])

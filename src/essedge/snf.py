@@ -111,13 +111,6 @@ def smith_normal_form(matrix):
     return d, w.U, w.V
 
 
-def rank(matrix):
-    if not matrix or not matrix[0]:
-        return 0
-    d, _, _ = smith_normal_form(matrix)
-    return sum(1 for x in d if x != 0)
-
-
 def abelian_invariants(rel_matrix, ngens):
     """
     Invariant factors of Z^ngens modulo the row space of rel_matrix:
@@ -210,7 +203,8 @@ def cokernel_reducer(rel_matrix, ngens):
     d, U, _ = smith_normal_form(matrix)
 
     def reduce_vec(v):
-        uv = [sum(U[i][k] * v[k] for k in range(ngens)) for i in range(ngens)]
+        support = [(k, x) for k, x in enumerate(v) if x]
+        uv = [sum(row[k] * x for k, x in support) for row in U]
         out = []
         for i in range(ngens):
             di = d[i] if i < len(d) else 0

@@ -1,10 +1,13 @@
 """
 Golden verdict JSON: a fixed set of certifications at a small budget.
 
-    PYTHONPATH=src python tests/record_verdicts.py
+    PYTHONPATH=src python tests/record_verdicts.py [--diff]
 
 writes tests/data/verdicts.json, which tests/test_verdicts.py compares
-with the current output byte for byte.  The inputs are the bundled
+with the current output byte for byte.  With --diff it writes nothing and
+prints every record whose JSON would change, as input, methods and mode,
+with the parts that change: its answers, its certificates or its
+method_log.  The inputs are the bundled
 fixtures m136, fig8 and q8 under every subset of the methods, m136 with
 its exact shapes under four subsets that reach the geometric tier, two
 seeded tetrahedron relabellings of m136 with its shapes permuted to
@@ -79,21 +82,77 @@ def inputs():
     return out
 
 
-def verdicts_text():
-    """The golden file's text for the current code."""
-    records = []
+def records():
+    """The golden file's records for the current code, as JSON data."""
+    out = []
     for name, tri, shapes, methods in inputs():
         for mode, certify in (("essential", certify_essential),
                               ("strongly", certify_strongly_essential)):
             verdict = certify(tri, BUDGET, shapes, methods)
-            records.append({"input": name, "methods": list(methods),
-                            "mode": mode, "verdict": verdict.to_json()})
+            out.append(json.loads(json.dumps(
+                {"input": name, "methods": list(methods), "mode": mode,
+                 "verdict": verdict.to_json()}, default=str)))
+    return out
+
+
+def as_text(records):
     # one certification a line, so that a diff names the ones that changed
-    return "[\n%s\n]\n" % ",\n".join(json.dumps(r, default=str)
-                                      for r in records)
+    return "[\n%s\n]\n" % ",\n".join(json.dumps(r) for r in records)
+
+
+def verdicts_text():
+    """The golden file's text for the current code."""
+    return as_text(records())
+
+
+# what a record's verdict says, part by part
+PARTS = (
+    ("answers", lambda v: (v["essential"], v["strongly_essential"],
+                           [e["essential"] for e in v["edges"]],
+                           [(p["pair"], p["parallel"]) for p in v["pairs"]])),
+    ("certificates", lambda v: ([e["certificate"] for e in v["edges"]],
+                                [p["certificate"] for p in v["pairs"]])),
+    ("method_log", lambda v: v["method_log"]),
+)
+
+
+def differences(current, golden):
+    """((input, methods, mode), changed parts) for every record whose JSON
+    text differs between two lists of records, in the order of current."""
+    def key(record):
+        return record["input"], tuple(record["methods"]), record["mode"]
+
+    before = {key(r): r for r in golden}
+    out = []
+    for record in current:
+        old = before.pop(key(record), None)
+        if old is None:
+            out.append((key(record), ["new record"]))
+        elif json.dumps(old) != json.dumps(record):
+            out.append((key(record), [
+                name for name, part in PARTS
+                if json.dumps(part(old["verdict"]))
+                != json.dumps(part(record["verdict"]))] or ["key order"]))
+    out += [(k, ["record removed"]) for k in before]
+    return out
+
+
+def main(argv):
+    if argv == ["--diff"]:
+        golden = json.loads(GOLDEN.read_text())
+        changed = differences(records(), golden)
+        for (name, methods, mode), parts in changed:
+            print("%s %s %s: %s" % (name, list(methods), mode,
+                                    ", ".join(parts)))
+        print("%d of %d records would change" % (len(changed), len(golden)),
+              file=sys.stderr)
+    elif not argv:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(verdicts_text())
+        print("wrote %s" % GOLDEN, file=sys.stderr)
+    else:
+        sys.exit("usage: record_verdicts.py [--diff]")
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(verdicts_text())
-    print("wrote %s" % GOLDEN, file=sys.stderr)
+    main(sys.argv[1:])

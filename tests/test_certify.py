@@ -180,22 +180,58 @@ def test_negatively_oriented_solution_skipped(m136_skeleton, m136_shapes):
 @pytest.mark.parametrize("methods", [(), ("homology",)])
 def test_closed_case_honours_methods(monkeypatch, q8_skeleton, methods):
     """Without the group tier a closed triangulation asks no group
-    question, for its edges or its pairs."""
+    question; with homology named its abelianisation step runs alone, for
+    the edges and the pairs."""
     calls = Counter()
     _count_calls(monkeypatch, essedge.decide.decide_double_coset, calls)
     verdict = certify_strongly_essential(q8_skeleton, methods=methods)
     assert calls["decide_double_coset"] == 0
-    assert verdict.strongly_essential == "unknown"
-    assert all(state == "unknown" for state, _ in verdict.pair_table.values())
-    for v in verdict.edge_verdicts:
-        if methods:
-            # every edge of q8 is separated in homology, in the form the
-            # group decider gives
-            assert v.essential == "yes"
-            assert v.certificate["kind"] == "homology"
-            assert v.certificate["detail"]["kind"] == "abelianization"
-        else:
-            assert v.certificate == {"kind": "budget_exhausted"}
+    certificates = ([v.certificate for v in verdict.edge_verdicts]
+                    + [c for _, c in verdict.pair_table.values()])
+    if methods:
+        # every edge of q8, and the first word i·j^-1 of every pair, is
+        # separated in homology, in the form the group decider gives
+        assert verdict.strongly_essential == "yes"
+        assert all(state == "not_parallel"
+                   for state, _ in verdict.pair_table.values())
+        for c in certificates:
+            assert c["kind"] == "homology"
+            assert c["detail"]["kind"] == "abelianization"
+    else:
+        assert verdict.strongly_essential == "unknown"
+        assert all(state == "unknown"
+                   for state, _ in verdict.pair_table.values())
+        assert all(c == {"kind": "budget_exhausted"} for c in certificates)
+
+
+def test_unasked_edge_names_no_budget(m136_skeleton):
+    """An unknown names the budget only after a group search ran out of
+    it."""
+    for certify in (certify_essential, certify_strongly_essential):
+        verdict = certify(m136_skeleton, methods=())
+        assert [v.certificate for v in verdict.edge_verdicts] == [
+            {"kind": "budget_exhausted"}] * 7
+    budget = Budget(coset_nodes=10, rewrite_steps=10, quotient_degree=2,
+                    quotient_nodes=10, factor_depth=1, factor_nodes=10)
+    searched = certify_essential(m136_skeleton, budget, methods=("group",))
+    unknown = [v.certificate for v in searched.edge_verdicts
+               if v.essential == "unknown"]
+    assert unknown and all(c["budget"] == budget.to_json() for c in unknown)
+
+
+def test_ideal_pair_decided_by_homology(monkeypatch, m136_skeleton):
+    """The pair pass has the homology tier too: abelianisation separates
+    some pairs of m136 with no group search."""
+    calls = Counter()
+    _count_calls(monkeypatch, essedge.decide.decide_double_coset, calls)
+    verdict = certify_strongly_essential(m136_skeleton,
+                                         methods=("homology",))
+    assert calls["decide_double_coset"] == 0
+    separated = [c for state, c in verdict.pair_table.values()
+                 if state == "not_parallel"]
+    assert separated
+    assert all(c == {"kind": "homology"} for c in separated)
+    assert len({id(c) for c in separated}) == 1
 
 
 @pytest.mark.parametrize("name, with_shapes, methods, strongly, kinds", [
@@ -203,14 +239,27 @@ def test_closed_case_honours_methods(monkeypatch, q8_skeleton, methods):
      ["geometric_scan", "semi_angle"]),
     ("m136", True, ("geometry",), False, ["geometric_endpoints"]),
     ("fig8", False, ("angle",), True, ["strict_angle"]),
+    ("pillow", False, ("angle", "homology", "group"), True,
+     ["budget_exhausted", "homology", "semi_angle"]),
 ])
-def test_global_certificate_stored_once(request, m136_shapes, name,
+def test_global_certificate_stored_once(request, m136, m136_shapes, name,
                                         with_shapes, methods, strongly,
                                         kinds):
-    """Every edge or pair one global certificate decides holds that one
-    object."""
+    """Every edge or pair one witness-free certificate decides holds that
+    one object: a global certificate, or a tier's certificate without
+    detail, such as an ideal pair's homology or an unknown's."""
     certify = certify_strongly_essential if strongly else certify_essential
-    verdict = certify(request.getfixturevalue(name + "_skeleton"),
+    budget = None
+    if name == "pillow":
+        tri, _record = pillow_0_2(m136, 0, (0, 1),
+                                  request.getfixturevalue("m136_skeleton"))
+        skeleton = build_skeleton(tri)
+        budget = Budget(coset_nodes=100, rewrite_steps=100,
+                        quotient_degree=2, quotient_nodes=100,
+                        factor_depth=3, factor_nodes=200)
+    else:
+        skeleton = request.getfixturevalue(name + "_skeleton")
+    verdict = certify(skeleton, budget,
                       shapes=m136_shapes if with_shapes else None,
                       methods=methods)
     certificates = ([v.certificate for v in verdict.edge_verdicts]

@@ -157,3 +157,23 @@ def test_parallel_word_invariance_under_connector_choice(m136_skeleton):
     other = decide_double_coset(pres, h1, h2, perturbed, budget)
     definite = {a for a in (base.answer, other.answer) if a != "unknown"}
     assert len(definite) <= 1
+
+
+@pytest.mark.parametrize("extra", [(1,), (2,)])
+def test_peripheral_needs_link_homology_free_of_rank_two(
+        monkeypatch, m136_skeleton, extra):
+    """The peripheral pair is read in the cokernel of the link's corner
+    rotation rows, which must be Z^2.  One more relation on the first
+    cotree cycle, which generates a summand of it, leaves Z (rank 1) or
+    Z + Z/2 (torsion), and both are rejected."""
+    import essedge.fundamental
+    reducer = essedge.fundamental.cokernel_reducer
+
+    def with_extra_row(rows, c):
+        return reducer(rows + [list(extra) + [0] * (c - 1)], c)
+
+    assert SpineData(m136_skeleton).peripheral(0).words
+    monkeypatch.setattr(essedge.fundamental, "cokernel_reducer",
+                        with_extra_row)
+    with pytest.raises(ValueError):
+        SpineData(m136_skeleton).peripheral(0)

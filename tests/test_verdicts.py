@@ -1,15 +1,58 @@
-"""The verdict JSON of a fixed set of certifications is unchanged."""
+"""The verdict JSON of a fixed set of certifications is unchanged, and
+its definite answers never depend on which other methods run."""
+import json
+from collections import defaultdict
+
 import pytest
 
-from record_verdicts import GOLDEN, verdicts_text
+from record_verdicts import GOLDEN, as_text, differences, records
 
 
 def test_verdicts_match_golden_file():
     """Byte for byte; re-record with tests/record_verdicts.py only for a
     change that means to alter verdicts."""
-    current, golden = verdicts_text(), GOLDEN.read_text()
-    if current != golden:
-        lines = list(zip(current.splitlines(), golden.splitlines()))
-        k = next((k for k, (a, b) in enumerate(lines) if a != b), len(lines))
-        pytest.fail("verdict JSON differs from %s at line %d: %.300s"
-                    % (GOLDEN.name, k + 1, current.splitlines()[k:k + 1]))
+    current, golden = records(), GOLDEN.read_text()
+    if as_text(current) != golden:
+        changed = differences(current, json.loads(golden))
+        if not changed:
+            pytest.fail("%s differs from the current output only in its "
+                        "layout" % GOLDEN.name)
+        (name, methods, mode), parts = changed[0]
+        pytest.fail("%d records differ from %s; the first is %s under %s, "
+                    "%s, in its %s (tests/record_verdicts.py --diff lists "
+                    "them all)" % (len(changed), GOLDEN.name, name,
+                                   list(methods), mode, ", ".join(parts)))
+
+
+def _answers(verdict):
+    """Every answer of a verdict, keyed by what it answers."""
+    out = {"essential": verdict["essential"],
+           "strongly_essential": verdict["strongly_essential"]}
+    out.update(("edge %d" % e["edge"], e["essential"])
+               for e in verdict["edges"])
+    out.update(("pair %d,%d" % tuple(p["pair"]), p["parallel"])
+               for p in verdict["pairs"])
+    return out
+
+
+def test_more_methods_keep_every_definite_answer():
+    """For every input and mode and every two method subsets S within T in
+    the golden file, each definite answer under S is the same under T."""
+    runs = defaultdict(list)
+    for record in json.loads(GOLDEN.read_text()):
+        runs[record["input"], record["mode"]].append(
+            (set(record["methods"]), _answers(record["verdict"])))
+    checks, violations = 0, []
+    for (name, mode), subsets in runs.items():
+        for small, under_small in subsets:
+            for large, under_large in subsets:
+                if not small < large:
+                    continue
+                for subject, answer in under_small.items():
+                    if answer in ("yes", "no", "parallel", "not_parallel"):
+                        checks += 1
+                        if under_large.get(subject, answer) != answer:
+                            violations.append((name, mode, sorted(small),
+                                               sorted(large), subject))
+    assert checks >= 1948  # as recorded; more definite answers only add
+    assert not violations, violations[:5]
