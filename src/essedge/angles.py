@@ -70,7 +70,6 @@ class AngleSystem:
                 row[3 * t + s] = 1
             rows.append(row)
             rhs.append(Fraction(1))
-        self.edge_row_index = {}
         self.corner_slots = {}
         for e in skeleton.edge_classes:
             slots = [3 * t + slot_of(a, b) for t, (a, b) in e.corners]
@@ -80,7 +79,6 @@ class AngleSystem:
             row = [0] * self.columns
             for s in slots:
                 row[s] += 1
-            self.edge_row_index[e.index] = len(rows)
             rows.append(row)
             rhs.append(Fraction(2))
         self.matrix = rows

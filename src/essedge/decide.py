@@ -21,7 +21,9 @@ Every verdict is three-valued.  A yes or no carries a certificate that
   H2 when "swapped"), with "h2_inverse_factors" for a yes and the size of
   the tested orbit "orbit_size" for a no;
 * "quotient_separation" (no): a homomorphism to S_"degree" given by
-  generator "images" that separates w from the image of H2·H1.
+  generator "images" that separates w from the image of H2·H1.  The
+  search starts at S_3: S_2 is abelian, so a homomorphism to it factors
+  through the abelianisation, whose step has already failed to separate.
 
 Unknown carries "budget_exhausted" and the budget.  All searches are
 deterministic and ordered, so a definite verdict at some budget is
@@ -283,11 +285,13 @@ def _evaluate(images, word, n):
 
 def quotient_search(presentation, predicate, budget):
     """
-    Enumerate homomorphisms to symmetric groups S_n, n up to the budgeted
-    degree, by backtracking over generator images in lexicographic order;
-    relators are checked as soon as their support is assigned.  The first
-    homomorphism satisfying the predicate is returned as (n, images), along
-    with a flag telling whether the search ran to completion.
+    Enumerate homomorphisms to symmetric groups S_n, 3 <= n up to the
+    budgeted degree, by backtracking over generator images in
+    lexicographic order; relators are checked as soon as their support is
+    assigned.  S_2 is skipped: it is abelian, so what it separates the
+    abelianisation separates too.  The first homomorphism satisfying the
+    predicate is returned as (n, images), along with a flag telling
+    whether the search ran to completion.
     """
     k = presentation.generator_count
     nodes = 0
@@ -295,7 +299,7 @@ def quotient_search(presentation, predicate, budget):
     for r in presentation.relators:
         top = max((abs(x) for x in r), default=0)
         relators_by_support[top].append(r)
-    for n in range(2, budget.quotient_degree + 1):
+    for n in range(3, budget.quotient_degree + 1):
         elements = sorted(permutations(range(n)))
         images = [None] * k
         identity = tuple(range(n))

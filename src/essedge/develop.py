@@ -19,15 +19,140 @@ and its lifts are scanned exactly modulo it.  Breadth-first development
 runs only for branching clusters, or when that walk is inconclusive, and
 is conclusive when the development is finite.  A conclusive cluster has
 a complete coincidence scan.
+
+A flat shape is real, so a flat cluster develops on the rational
+projective line: a point is a primitive integer pair (x : y) with y > 0,
+or oo = (1 : 0), and a Moebius map is a primitive 2x2 integer matrix.
 """
-from .gaussian import (INFINITY, Moebius, ONE, ZERO, point, fourth_vertex,
-                       cross_ratio_shape, moebius_between)
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
+
 from .shapes import ShapeAssignment, verify_shapes, ShapeError
 from .skeleton import as_skeleton
 from .triangulation import TET_EDGES, FACE_VERTICES
 
 # vertex orderings realising the three slot shapes as cross-ratios
 _SLOT_ORDER = ((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+
+INFINITY = (1, 0)
+
+
+def point(value):
+    """The point of a rational number."""
+    value = Fraction(value)
+    return (value.numerator, value.denominator)
+
+
+def _primitive(x, y):
+    """The point (x : y), as its primitive pair."""
+    g = gcd(x, y)
+    if not g:
+        raise ShapeError("(0 : 0) is not a point")
+    if y < 0 or (y == 0 and x < 0):
+        g = -g
+    return (x // g, y // g)
+
+
+def _det(p, q):
+    return p[0] * q[1] - q[0] * p[1]
+
+
+def cross_ratio(p0, p1, p2, p3):
+    """
+    The shape at the {p0 p1} edge of an ideal tetrahedron with the given
+    vertex positions, as (numerator, denominator): normalise p0 to 0, p1 to
+    oo and p3 to 1, and read off the position of p2.  With this convention
+    the slot orderings (0,1,2,3), (0,2,3,1), (0,3,1,2) measure z, 1/(1-z),
+    1-1/z.
+    """
+    return (_det(p2, p0) * _det(p3, p1), _det(p2, p1) * _det(p3, p0))
+
+
+def fourth_vertex(slot_positions, z):
+    """The one None among (p0, p1, p2, p3), solved from the rational shape
+    relation cross_ratio(p0, p1, p2, p3) = z."""
+    k = slot_positions.index(None)
+
+    def relation(u):
+        ps = list(slot_positions)
+        ps[k] = u
+        num, den = cross_ratio(*ps)
+        return num * z.denominator - den * z.numerator
+
+    # linear in the missing point (x : y): alpha * x + beta * y = 0
+    return _primitive(-relation(point(0)), relation(INFINITY))
+
+
+class Moebius:
+    """The fractional linear map of a primitive integer matrix
+    [[a, b], [c, d]]."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        if a * d == b * c:
+            raise ValueError("singular Moebius matrix")
+        g = gcd(gcd(a, b), gcd(c, d))
+        self.a, self.b, self.c, self.d = a // g, b // g, c // g, d // g
+
+    def __call__(self, p):
+        x, y = p
+        return _primitive(self.a * x + self.b * y, self.c * x + self.d * y)
+
+    def compose(self, other):
+        """self after other."""
+        return Moebius(self.a * other.a + self.b * other.c,
+                       self.a * other.b + self.b * other.d,
+                       self.c * other.a + self.d * other.c,
+                       self.c * other.b + self.d * other.d)
+
+    def inverse(self):
+        return Moebius(self.d, -self.b, -self.c, self.a)
+
+    def is_identity(self):
+        return self.b == 0 and self.c == 0 and self.a == self.d
+
+    def is_parabolic(self):
+        """Parabolic or the identity: trace^2 = 4 det."""
+        return (self.a + self.d) ** 2 == 4 * (self.a * self.d
+                                             - self.b * self.c)
+
+    def translation_frame(self):
+        """For a parabolic map T, (W, c) with W T W^-1 the translation
+        z -> z + c: W sends the fixed point of T to oo."""
+        if not self.is_parabolic():
+            raise ValueError("not parabolic")
+        if self.c:
+            qx, qy = _primitive(self.a - self.d, 2 * self.c)
+            w = Moebius(0, qy, qy, -qx)  # z -> 1 / (z - q)
+        else:
+            w = Moebius(1, 0, 0, 1)
+        h = w.compose(self).compose(w.inverse())
+        if h.c != 0 or h.a != h.d:
+            raise ValueError("conjugation did not produce a translation")
+        return w, Fraction(h.b, h.a)
+
+    def __repr__(self):
+        return "Moebius([[%d, %d], [%d, %d]])" % (self.a, self.b, self.c,
+                                                  self.d)
+
+
+def _to_standard(p0, p1, p2):
+    """The Moebius map sending (p0, p1, p2) to (0, 1, oo)."""
+    d12 = _det(p1, p2)
+    d10 = _det(p1, p0)
+    return Moebius(p0[1] * d12, -p0[0] * d12, p2[1] * d10, -p2[0] * d10)
+
+
+def moebius_between(points_a, points_b):
+    """The Moebius map sending the first tuple of distinct points to the
+    second, or None if no single map matches every position."""
+    m = _to_standard(*points_b[:3]).inverse().compose(
+        _to_standard(*points_a[:3]))
+    if any(m(p) != q for p, q in zip(points_a[3:], points_b[3:])):
+        return None
+    return m
 
 
 class DevelopedTet:
@@ -71,44 +196,43 @@ class DevelopReport:
         return "DevelopReport(%s)" % (self.clusters,)
 
 
-def _develop_across(tri, shapes, inst, face):
+def _flat_slots(shapes):
+    """The three real slot values of each flat tetrahedron, as Fractions."""
+    return {t: tuple(shapes.slot_value(t, slot).re for slot in range(3))
+            for t in shapes.flat_set()}
+
+
+def _develop_across(tri, slots, inst, face):
     """The developed neighbour of an instance through one of its faces."""
     other, sigma = tri.gluing(inst.tet, face)
     positions = [None] * 4
     for v in FACE_VERTICES[face]:
         positions[sigma(v)] = inst.positions[v]
-    missing = sigma(face)
-    slot_positions = [positions[v] for v in _SLOT_ORDER[0]]
     # solve the slot-0 cross-ratio relation for the missing vertex
-    idx = _SLOT_ORDER[0].index(missing)
-    slot_positions[idx] = None
-    positions[missing] = fourth_vertex(slot_positions, shapes.shapes[other])
-    return _check_cross_ratios(shapes, DevelopedTet(other, positions))
+    positions[sigma(face)] = fourth_vertex(positions, slots[other][0])
+    return _check_cross_ratios(slots, DevelopedTet(other, positions))
 
 
-def _base_instance(shapes, tet):
+def _base_instance(slots, tet):
     # vertices 0, 1, 2 at 0, 1, oo; the cross-ratio convention then places
     # vertex 3 at 1/(1-z) so that the {01} edge carries the shape z
-    z = shapes.shapes[tet]
-    return _check_cross_ratios(shapes, DevelopedTet(
-        tet, (point(0), point(1), INFINITY, point(ONE / (ONE - z)))))
+    return _check_cross_ratios(slots, DevelopedTet(
+        tet, (point(0), point(1), INFINITY, point(slots[tet][1]))))
 
 
-def _edge_lifts(skeleton, inst):
-    """(edge class, endpoint pair) for the six edges of an instance."""
-    out = []
-    for a, b in TET_EDGES:
-        cls = skeleton.edge_lookup[(inst.tet, a, b)][0]
-        out.append((cls, inst.positions[a], inst.positions[b]))
-    return out
+def _edge_lifts(skeleton, instances):
+    """(edge class, p, q) for the six edges of every instance."""
+    return [(skeleton.edge_lookup[(inst.tet, a, b)][0], inst.positions[a],
+             inst.positions[b]) for inst in instances for a, b in TET_EDGES]
 
 
-def _check_cross_ratios(shapes, inst):
+def _check_cross_ratios(slots, inst):
     """The instance, once its cross-ratios are checked against its
     shapes."""
     for slot, order in enumerate(_SLOT_ORDER):
-        got = cross_ratio_shape(*(inst.positions[v] for v in order))
-        if got != shapes.slot_value(inst.tet, slot):
+        num, den = cross_ratio(*(inst.positions[v] for v in order))
+        z = slots[inst.tet][slot]
+        if not den or num * z.denominator != den * z.numerator:
             raise ShapeError(
                 "developed cross-ratio mismatch on tetrahedron %d slot %d"
                 % (inst.tet, slot))
@@ -129,13 +253,13 @@ def develop_and_scan(tri_or_skeleton, shapes, cluster_cap=200):
         raise ShapeError("the development needs exact shapes")
     if not verify_shapes(skeleton, shapes).passed:
         raise ShapeError("shape assignment fails the edge equations")
-    return DevelopReport([_scan_cluster(tri, skeleton, shapes, cluster,
+    slots = _flat_slots(shapes)
+    return DevelopReport([_scan_cluster(tri, skeleton, slots, cluster,
                                         cluster_cap)
-                          for cluster in _flat_clusters(tri, shapes)])
+                          for cluster in _flat_clusters(tri, slots)])
 
 
-def _flat_clusters(tri, shapes):
-    flat = set(shapes.flat_set())
+def _flat_clusters(tri, flat):
     clusters = []
     remaining = set(flat)
     while remaining:
@@ -160,7 +284,7 @@ def _intra_faces(tri, cluster, t):
             if tri.gluing(t, f) is not None and tri.gluing(t, f)[0] in flat]
 
 
-def _scan_cluster(tri, skeleton, shapes, cluster, cap):
+def _scan_cluster(tri, skeleton, slots, cluster, cap):
     """
     Scan one flat cluster.  A linear cluster (every member with exactly
     two intra-cluster gluings) is first walked once around and settled by
@@ -173,10 +297,10 @@ def _scan_cluster(tri, skeleton, shapes, cluster, cap):
     """
     linear = all(len(_intra_faces(tri, cluster, t)) == 2 for t in cluster)
     if linear:
-        walk = _scan_linear_cluster(tri, skeleton, shapes, cluster, cap)
+        walk = _scan_linear_cluster(tri, skeleton, slots, cluster, cap)
         if walk.conclusive:
             return walk
-    base = _base_instance(shapes, cluster[0])
+    base = _base_instance(slots, cluster[0])
     seen = {base.key(): base}
     order = [base]
     frontier = [base]
@@ -185,7 +309,7 @@ def _scan_cluster(tri, skeleton, shapes, cluster, cap):
         nxt = []
         for inst in frontier:
             for face in _intra_faces(tri, cluster, inst.tet):
-                new = _develop_across(tri, shapes, inst, face)
+                new = _develop_across(tri, slots, inst, face)
                 if new.key() not in seen:
                     seen[new.key()] = new
                     order.append(new)
@@ -194,7 +318,8 @@ def _scan_cluster(tri, skeleton, shapes, cluster, cap):
         if not frontier:
             finite = True
     if finite:
-        pairs = _coincidences_among(skeleton, order)
+        pairs = _coincidences(_edge_lifts(skeleton, order),
+                              lambda p, q: frozenset((p, q)))
         return ClusterScan(cluster, True, "finite development",
                            coincidences=pairs, instance_count=len(order))
     if linear:
@@ -204,9 +329,9 @@ def _scan_cluster(tri, skeleton, shapes, cluster, cap):
                        % cap, instance_count=len(seen))
 
 
-def _scan_linear_cluster(tri, skeleton, shapes, cluster, cap):
+def _scan_linear_cluster(tri, skeleton, slots, cluster, cap):
     base_tet = cluster[0]
-    base = _base_instance(shapes, base_tet)
+    base = _base_instance(slots, base_tet)
     line = [base]
     prev_key = None
     inst = base
@@ -215,7 +340,7 @@ def _scan_linear_cluster(tri, skeleton, shapes, cluster, cap):
         faces = _intra_faces(tri, cluster, inst.tet)
         moved = None
         for face in faces:
-            new = _develop_across(tri, shapes, inst, face)
+            new = _develop_across(tri, slots, inst, face)
             if new.key() != prev_key:
                 moved = new
                 break
@@ -238,82 +363,45 @@ def _scan_linear_cluster(tri, skeleton, shapes, cluster, cap):
                            "period map is not parabolic",
                            translation=translation,
                            instance_count=len(line))
-    pairs = _periodic_coincidences(skeleton, line, translation)
+    pairs = _periodic_coincidences(_edge_lifts(skeleton, line),
+                                   translation)
     return ClusterScan(cluster, True,
                        "closes up under a parabolic translation",
                        translation=translation, coincidences=pairs,
                        instance_count=len(line))
 
 
-def _coincidences_among(skeleton, instances):
-    lifts = {}
+def _coincidences(lifts, key):
+    """Pairs of distinct edge classes with two lifts of the same key.  The
+    cross-ratio check makes the two ends of every lift distinct."""
+    classes = {}
+    for cls, p, q in lifts:
+        classes.setdefault(key(p, q), set()).add(cls)
     pairs = set()
-    for inst in instances:
-        for cls, p, q in _edge_lifts(skeleton, inst):
-            if p == q:
-                pairs.add((cls, cls))
-                continue
-            key = frozenset((p, q))
-            for other in lifts.get(key, ()):
-                if other != cls:
-                    pairs.add(tuple(sorted((cls, other))))
-            lifts.setdefault(key, set()).add(cls)
+    for members in classes.values():
+        pairs.update(combinations(sorted(members), 2))
     return sorted(pairs)
 
 
-def _translation_constant(translation):
-    """Conjugate a parabolic map to z -> z + c and return (W, c)."""
-    q = translation.parabolic_fixed_point()
-    if q.is_infinity:
-        w = Moebius(1, 0, 0, 1)
-    else:
-        w = Moebius(0, 1, 1, -q.value())
-    h = w.compose(translation).compose(w.inverse())
-    if h.c != ZERO or h.a != h.d:
-        raise ValueError("conjugation did not produce a translation")
-    return w, h.b / h.a
-
-
-def _periodic_coincidences(skeleton, core, translation):
+def _periodic_coincidences(lifts, translation):
     """
-    Coincidences among edge lifts of the full line development, which is
-    the union of translation^k applied to the core instances.  In the
-    coordinate where the translation is z -> z + c, two lifts coincide in
-    some translate exactly when their endpoint pairs differ by an integer
-    multiple of c.
+    Coincidences among (edge class, p, q) lifts and all their images under
+    the powers of a parabolic translation.  In the frame where the
+    translation is z -> z + c, each lift is keyed by its translate whose
+    lower end lies in [0, |c|), with oo the upper end when it is one; two
+    lifts coincide in some translate exactly when their keys agree.
     """
-    w, c = _translation_constant(translation)
+    w, c = translation.translation_frame()
+    period = abs(c)
 
-    def coord(p):
-        img = w(p)
-        return None if img.is_infinity else img.value()
+    def value(p):
+        x, y = w(p)
+        return Fraction(x, y) if y else None
 
-    lifts = []
-    for inst in core:
-        for cls, p, q in _edge_lifts(skeleton, inst):
-            lifts.append((cls, coord(p), coord(q)))
+    def key(p, q):
+        lo, hi = sorted((value(p), value(q)),
+                        key=lambda v: (v is None, v or 0))
+        shift = lo - lo % period
+        return lo - shift, None if hi is None else hi - shift
 
-    def integer_shift(u, v):
-        """k with u = v + k c, or None (None coordinates mean infinity,
-        which the translation fixes)."""
-        if u is None or v is None:
-            return 0 if u is None and v is None else None
-        k = (u - v) / c
-        if k.im != 0 or k.re.denominator != 1:
-            return None
-        return int(k.re)
-
-    pairs = set()
-    for i, (c1, p1, q1) in enumerate(lifts):
-        if p1 == q1:
-            pairs.add((c1, c1))
-        for c2, p2, q2 in lifts[i + 1:]:
-            if c1 == c2:
-                continue
-            for (u1, u2), (v1, v2) in (((p1, q1), (p2, q2)),
-                                       ((p1, q1), (q2, p2))):
-                k1 = integer_shift(u1, v1)
-                k2 = integer_shift(u2, v2)
-                if k1 is not None and k1 == k2:
-                    pairs.add(tuple(sorted((c1, c2))))
-    return sorted(pairs)
+    return _coincidences(lifts, key)

@@ -14,7 +14,7 @@ boundary tori, peripheral generators, and the loops needed for the
 essential / parallel edge tests are all words in the same generators.
 """
 from .presentation import Presentation, free_reduce, inverse_word, concat
-from .skeleton import as_skeleton
+from .skeleton import _UnionFind, as_skeleton
 from .snf import cokernel_reducer
 
 
@@ -40,9 +40,7 @@ def presentation_closed(tri_or_skeleton):
             e, sign = skeleton.edge_lookup[(t, u, v)]
             word.append(sign * (e + 1))
         relators.append(free_reduce(word))
-    labels = {"generators": [e.index for e in skeleton.edge_classes],
-              "relators": [fc.index for fc in skeleton.face_classes]}
-    return Presentation(len(skeleton.edge_classes), relators, labels)
+    return Presentation(len(skeleton.edge_classes), relators)
 
 
 class LinkTree:
@@ -68,7 +66,6 @@ class LinkTree:
                     self.parent[tv2] = (tv, f)
                     self.tree_sides.add(frozenset([key, (tv2, f2)]))
                     order.append(tv2)
-        self.order = order
 
     def path_crossings(self, tv):
         """Crossings (triangle, out_side) from the basepoint to tv."""
@@ -119,20 +116,12 @@ class SpineData:
         self.tri = tri
 
         # spanning tree of the dual graph, face classes in index order
-        parent = list(range(tri.tet_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        components = _UnionFind(range(tri.tet_count))
         self.tree_faces = set()
         for fc in skeleton.face_classes:
             (t1, _), (t2, _) = fc.representatives
-            r1, r2 = find(t1), find(t2)
-            if r1 != r2:
-                parent[max(r1, r2)] = min(r1, r2)
+            if components.find(t1) != components.find(t2):
+                components.union(t1, t2)
                 self.tree_faces.add(fc.index)
         self.gen_of_face = {}
         for fc in skeleton.face_classes:
@@ -149,11 +138,7 @@ class SpineData:
                 if letter:
                     word.append(letter)
             relators.append(free_reduce(word))
-        labels = {"generators": sorted(self.gen_of_face,
-                                       key=self.gen_of_face.get),
-                  "relators": [e.index for e in skeleton.edge_classes]}
-        self.presentation = Presentation(self.generator_count, relators,
-                                         labels)
+        self.presentation = Presentation(self.generator_count, relators)
         self._link_trees = {}
         self._peripheral = {}
 

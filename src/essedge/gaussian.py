@@ -1,7 +1,7 @@
 """
-Exact Gaussian-rational arithmetic, projective points over it, and 2x2
-Moebius transformations.  Used for gluing-equation verification and exact
-developing-map computations.
+Exact Gaussian-rational arithmetic: the field of shapes that gluing-equation
+verification checks.  The flat-cluster development works on the rational
+projective line instead (develop.py), since every flat shape is real.
 """
 from fractions import Fraction
 
@@ -84,9 +84,7 @@ class GaussianRational:
         return "GaussianRational(%s)" % format_gaussian(self)
 
 
-ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 
 def as_gaussian(value):
@@ -133,159 +131,3 @@ def format_gaussian(z):
     if z.re == 0:
         return imag
     return "%s%s%s" % (z.re, "" if imag.startswith("-") else "+", imag)
-
-
-class ProjectivePoint:
-    """A point of the projective line over the Gaussian rationals, stored
-    as a canonical pair (z, 1) or (1, 0) for infinity."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        x, y = as_gaussian(x), as_gaussian(y)
-        if not x and not y:
-            raise ValueError("(0 : 0) is not a projective point")
-        if y:
-            x, y = x / y, ONE
-        else:
-            x, y = ONE, ZERO
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectivePoint is immutable")
-
-    @property
-    def is_infinity(self):
-        return not self.y
-
-    def value(self):
-        if self.is_infinity:
-            raise ValueError("point at infinity has no affine value")
-        return self.x
-
-    def __eq__(self, other):
-        return (isinstance(other, ProjectivePoint)
-                and self.x == other.x and self.y == other.y)
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
-    def __repr__(self):
-        return "oo" if self.is_infinity else format_gaussian(self.x)
-
-
-INFINITY = ProjectivePoint(ONE, ZERO)
-
-
-def point(value):
-    return ProjectivePoint(as_gaussian(value), ONE)
-
-
-def det2(p, q):
-    """The determinant pairing x_p y_q - x_q y_p."""
-    return p.x * q.y - q.x * p.y
-
-
-def cross_ratio_shape(p0, p1, p2, p3):
-    """
-    The shape parameter at the {p0 p1} edge of an ideal tetrahedron with
-    the given vertex positions: normalise p0 to 0, p1 to oo and p3 to 1,
-    and read off the position of p2.  With this convention the slot
-    orderings (0,1,2,3), (0,2,3,1), (0,3,1,2) measure z, 1/(1-z), 1-1/z.
-    """
-    num = det2(p2, p0) * det2(p3, p1)
-    den = det2(p2, p1) * det2(p3, p0)
-    if not den:
-        raise ZeroDivisionError("degenerate tetrahedron positions")
-    return num / den
-
-
-def fourth_vertex(slot_positions, z):
-    """
-    Given three of (p0, p1, p2, p3) with exactly one None, solve for the
-    missing position from the shape relation cross_ratio_shape(...) = z.
-    """
-    missing = [k for k, p in enumerate(slot_positions) if p is None]
-    if len(missing) != 1:
-        raise ValueError("exactly one position must be unknown")
-    k = missing[0]
-
-    def eval_with(u):
-        ps = list(slot_positions)
-        ps[k] = u
-        num = det2(ps[2], ps[0]) * det2(ps[3], ps[1])
-        den = det2(ps[2], ps[1]) * det2(ps[3], ps[0])
-        return num - z * den
-
-    # linear in the missing point (x : y): alpha * x + beta * y = 0
-    alpha = eval_with(INFINITY)
-    beta = eval_with(point(0))
-    return ProjectivePoint(-beta, alpha)
-
-
-class Moebius:
-    """A fractional linear map with Gaussian-rational matrix entries."""
-
-    def __init__(self, a, b, c, d):
-        self.a, self.b = as_gaussian(a), as_gaussian(b)
-        self.c, self.d = as_gaussian(c), as_gaussian(d)
-        if not (self.a * self.d - self.b * self.c):
-            raise ValueError("singular Moebius matrix")
-
-    def __call__(self, p):
-        return ProjectivePoint(self.a * p.x + self.b * p.y,
-                               self.c * p.x + self.d * p.y)
-
-    def compose(self, other):
-        """self after other."""
-        return Moebius(self.a * other.a + self.b * other.c,
-                       self.a * other.b + self.b * other.d,
-                       self.c * other.a + self.d * other.c,
-                       self.c * other.b + self.d * other.d)
-
-    def inverse(self):
-        return Moebius(self.d, -self.b, -self.c, self.a)
-
-    def is_identity(self):
-        return (self.b == ZERO and self.c == ZERO and self.a == self.d)
-
-    def is_parabolic(self):
-        """Parabolic or the identity: trace^2 = 4 det."""
-        tr = self.a + self.d
-        det = self.a * self.d - self.b * self.c
-        return tr * tr == 4 * det
-
-    def parabolic_fixed_point(self):
-        if not self.is_parabolic():
-            raise ValueError("not parabolic")
-        if self.c:
-            return ProjectivePoint((self.a - self.d) / 2, self.c)
-        return INFINITY
-
-    def __repr__(self):
-        return "Moebius([[%s, %s], [%s, %s]])" % tuple(
-            format_gaussian(v) for v in (self.a, self.b, self.c, self.d))
-
-
-def _to_standard(p0, p1, p2):
-    """The Moebius map sending (p0, p1, p2) to (0, 1, oo)."""
-    d12 = det2(p1, p2)
-    d10 = det2(p1, p0)
-    return Moebius(p0.y * d12, -p0.x * d12, p2.y * d10, -p2.x * d10)
-
-
-def moebius_from_triples(source, target):
-    """The unique Moebius map carrying three distinct source points to
-    three distinct target points, in order."""
-    return _to_standard(*target).inverse().compose(_to_standard(*source))
-
-
-def moebius_between(points_a, points_b):
-    """The Moebius map sending the first tuple to the second, or None if
-    no single map matches every position."""
-    m = moebius_from_triples(points_a[:3], points_b[:3])
-    for p, q in zip(points_a[3:], points_b[3:]):
-        if m(p) != q:
-            return None
-    return m

@@ -8,7 +8,7 @@ tetrahedra renumbered compactly and new tetrahedra appended at the end of
 the index range.  The MoveRecord reports the renumbering so callers can
 track simplices across the move.
 """
-from .triangulation import Perm4, Triangulation
+from .triangulation import Perm4, Triangulation, _perm_from_map
 from .skeleton import build_skeleton
 from .angles import AngleVector, slot_of
 
@@ -29,19 +29,6 @@ class MoveRecord:
     def __repr__(self):
         return "MoveRecord(%s at %s, created %s)" % (self.kind, self.site,
                                                      self.created)
-
-
-def _perm_from_map(mapping):
-    images = [None] * 4
-    for k, v in mapping.items():
-        images[k] = v
-    missing_src = [k for k in range(4) if images[k] is None]
-    missing_dst = [v for v in range(4) if v not in mapping.values()]
-    if len(missing_src) != len(missing_dst) or len(missing_src) > 1:
-        raise ValueError("cannot extend %r to a permutation" % (mapping,))
-    for k, v in zip(missing_src, missing_dst):
-        images[k] = v
-    return Perm4(images)
 
 
 def _rebuild(tri, dying, new_count, internal, portals):

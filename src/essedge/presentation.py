@@ -58,7 +58,7 @@ def word_to_string(word):
 class Presentation:
     """A finite presentation: generator count plus relator words."""
 
-    def __init__(self, generator_count, relators, labels=None):
+    def __init__(self, generator_count, relators):
         self.generator_count = generator_count
         rels = []
         for r in relators:
@@ -68,7 +68,6 @@ class Presentation:
                     raise ValueError("relator letter %d out of range" % x)
             rels.append(r)
         self.relators = tuple(rels)
-        self.labels = labels or {}
 
     def exponent_vector(self, word):
         v = [0] * self.generator_count

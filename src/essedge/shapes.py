@@ -119,7 +119,6 @@ class GluingSystem:
                 row[3 * t + slot_of(a, b)] += 1
             self.edge_rows.append(row)
         self.cusp_rows = []
-        self.cusp_of_row = []
         for link in skeleton.vertex_links:
             if link.surface_kind != "torus":
                 raise ShapeError("vertex %d link is a %s, not a torus"
@@ -127,7 +126,6 @@ class GluingSystem:
             peripheral = spine.peripheral(link.index)
             for curve in peripheral.curves:
                 self.cusp_rows.append(self._curve_row(link, curve))
-                self.cusp_of_row.append(link.index)
 
     def _curve_row(self, link, curve):
         """Exponent row of a peripheral curve: each corner the curve cuts

@@ -72,6 +72,22 @@ class Perm4:
 
 IDENTITY = Perm4.identity()
 
+
+def _perm_from_map(mapping):
+    """The Perm4 extending a map of three or four labels: a label left out
+    goes to the one image not used."""
+    images = [None] * 4
+    for k, v in mapping.items():
+        images[k] = v
+    missing_src = [k for k in range(4) if images[k] is None]
+    missing_dst = [v for v in range(4) if v not in mapping.values()]
+    if len(missing_src) != len(missing_dst) or len(missing_src) > 1:
+        raise ValueError("cannot extend %r to a permutation" % (mapping,))
+    for k, v in zip(missing_src, missing_dst):
+        images[k] = v
+    return Perm4(images)
+
+
 # face i is opposite vertex i; FACE_VERTICES[i] lists the vertices spanning it
 FACE_VERTICES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
@@ -249,23 +265,6 @@ class ParseError(ValueError):
 _TABLE_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
-def _perm_from_face_images(face, images):
-    """Extend images of three face vertices to a Perm4 (the fourth vertex
-    goes to the one label not used)."""
-    im = [None] * 4
-    used = set()
-    for v, w in zip(face, images):
-        im[v] = w
-        used.add(w)
-    missing = [w for w in range(4) if w not in used]
-    if len(missing) != 1:
-        raise ValueError("images %r repeat a label" % (images,))
-    for v in range(4):
-        if im[v] is None:
-            im[v] = missing[0]
-    return Perm4(im)
-
-
 def parse_table(text):
     """
     Parse the tabular gluing format.
@@ -316,7 +315,7 @@ def parse_table(text):
             images = tuple(int(em.group(k)) for k in (2, 3, 4))
             face = _TABLE_FACES[col]
             try:
-                perm = _perm_from_face_images(face, images)
+                perm = _perm_from_map(dict(zip(face, images)))
             except ValueError as e:
                 raise ParseError(str(e), lineno)
             face_index = 6 - sum(face)  # the vertex opposite the face

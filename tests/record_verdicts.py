@@ -11,11 +11,14 @@ method_log.  The inputs are the bundled
 fixtures m136, fig8 and q8 under every subset of the methods, m136 with
 its exact shapes under four subsets that reach the geometric tier, two
 seeded tetrahedron relabellings of m136 with its shapes permuted to
-match under geometry alone and under all methods, and two pillow outputs
+match under geometry alone and under all methods, two pillow outputs
 of m136 under the angle, homology and group methods and under all of
-them; each is certified essential and strongly essential.  Re-record
-only for a change that means to alter verdicts, and list what changed
-in its description.
+them, and two pillow outputs of m136 whose flat cluster branches, with
+m136's shapes extended by -1 on both pillow tetrahedra, under geometry
+alone and under all methods; each is certified essential and strongly
+essential.  --diff exits 1 when any record would change, so that it can
+gate a commit.  Re-record only for a change that means to alter
+verdicts, and list what changed in its description.
 """
 import importlib.resources
 import json
@@ -39,6 +42,9 @@ METHOD_SUBSETS = [methods for k in range(len(ALL_METHODS) + 1)
 GEOMETRY_SUBSETS = (("geometry",), ("angle", "geometry"),
                     ("geometry", "group"), ALL_METHODS)
 PILLOW_SITES = ((0, (0, 1)), (2, (0, 2)))
+# pillow outputs with exact shapes, m136's and -1 on both pillow
+# tetrahedra, whose flat cluster (3, 5, 7, 8) branches
+BRANCHING_SITES = ((3, (2, 3)), (6, (1, 2)))
 RELABELLING_SEEDS = (1, 2)
 
 
@@ -79,6 +85,12 @@ def inputs():
         name = "m136 pillow %d %s" % (edge, sites)
         out += [(name, tri, None, ("angle", "homology", "group")),
                 (name, tri, None, ALL_METHODS)]
+    extended = ShapeAssignment(list(shapes.shapes) + [-1, -1])
+    for edge, sites in BRANCHING_SITES:
+        tri, _record = pillow_0_2(m136, edge, sites, skeleton)
+        name = "m136 pillow %d %s+shapes" % (edge, sites)
+        out += [(name, tri, extended, methods)
+                for methods in (("geometry",), ALL_METHODS)]
     return out
 
 
@@ -146,6 +158,8 @@ def main(argv):
                                     ", ".join(parts)))
         print("%d of %d records would change" % (len(changed), len(golden)),
               file=sys.stderr)
+        if changed:
+            sys.exit(1)
     elif not argv:
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(verdicts_text())

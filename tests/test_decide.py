@@ -1,11 +1,20 @@
+import random
+from itertools import combinations, product
+
 import pytest
 
+from essedge import build_skeleton, parse_triangulation
+from essedge.certify import _Analysis
 from essedge.presentation import (Presentation, word_from_string as words,
                                   inverse_word)
 from essedge.decide import (Budget, decide_word, decide_membership,
                             decide_double_coset, replay_rewrite_trace,
-                            quotient_search, subgroup_closure, _evaluate)
+                            quotient_search, subgroup_closure, _evaluate,
+                            abelian_separation, _double_coset_separation)
 from essedge.coset import CosetTable
+from essedge.fundamental import presentation_spine
+from essedge.moves import pillow_0_2
+from test_random_properties import random_closed_triangulation
 
 
 Z2 = Presentation(1, [words("aa")])
@@ -167,6 +176,73 @@ def test_quotient_search_finds_s3():
             p != tuple(range(n)) for p in images) else None,
         Budget(quotient_degree=3))
     assert found is not None
+
+
+def test_quotient_search_starts_at_s3():
+    """S_2 quotients are never enumerated: degree 2 asks the predicate
+    nothing, and degree 3 asks it only about S_3."""
+    degrees = []
+
+    def record(n, images):
+        degrees.append(n)
+
+    found, complete = quotient_search(FREE2, record,
+                                      Budget(quotient_degree=2))
+    assert (found, complete, degrees) == (None, True, [])
+    quotient_search(FREE2, record, Budget(quotient_degree=3))
+    assert degrees and set(degrees) == {3}
+
+
+def _s2_separates(presentation, h1_words, h2_words, word):
+    """Whether some homomorphism to S_2 separates the word from H2·H1."""
+    identity, swap = (0, 1), (1, 0)
+    for images in product((identity, swap),
+                          repeat=presentation.generator_count):
+        if (all(_evaluate(images, r, 2) == identity
+                for r in presentation.relators)
+                and _double_coset_separation(2, images, h1_words, h2_words,
+                                             word)):
+            return True
+    return False
+
+
+def _pair_questions(tri):
+    a = _Analysis(tri, None, None, ("group",))
+    for i, j in combinations(range(len(a.skeleton.edge_classes)), 2):
+        for _flip, word, h1, h2 in a.pair_questions(i, j):
+            yield a.presentation, h1, h2, word
+
+
+def _closed_questions(count):
+    """The closed words, memberships and double cosets that the
+    certificate replay test asks, over the whole seeded random corpus."""
+    rng = random.Random(20260808)
+    for _ in range(count):
+        pres = presentation_spine(build_skeleton(
+            random_closed_triangulation(rng)))
+        k = pres.generator_count
+        if k == 0:
+            continue
+        for g in range(min(2, k)):
+            yield pres, (), (), (g + 1,)
+        target = (2,) if k >= 2 else (1, 1)
+        yield pres, [(1,)], (), target
+        yield pres, [(1,)], [(k,)], (k, 1, 1) + target
+
+
+def test_abelianisation_subsumes_s2_quotients(m136):
+    """Every double-coset question that abelianisation leaves open, over
+    m136's and two pillow outputs' pair questions and the seeded closed
+    corpus, has no separating homomorphism to S_2 either."""
+    skeleton = build_skeleton(m136)
+    trees = [m136] + [pillow_0_2(m136, e, sites, skeleton)[0]
+                      for e, sites in ((0, (0, 1)), (2, (0, 2)))]
+    questions = [q for tri in trees for q in _pair_questions(tri)]
+    questions += list(_closed_questions(100))
+    open_questions = [q for q in questions
+                      if abelian_separation(*q) is None]
+    assert len(open_questions) >= 140
+    assert not [q for q in open_questions if _s2_separates(*q)]
 
 
 def test_certificate_replays():

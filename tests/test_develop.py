@@ -1,9 +1,15 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 import essedge.develop
-from essedge.develop import (develop_and_scan, DevelopedTet, _SLOT_ORDER,
-                             _base_instance, _develop_across)
-from essedge.gaussian import cross_ratio_shape, Moebius
+from essedge.develop import (INFINITY, DevelopedTet, Moebius, _SLOT_ORDER,
+                             _base_instance, _develop_across, _flat_slots,
+                             _intra_faces, _periodic_coincidences, _primitive,
+                             cross_ratio, develop_and_scan, fourth_vertex,
+                             moebius_between, point)
+from essedge.moves import pillow_0_2
 from essedge.shapes import (solve_shapes_newton, ShapeAssignment, ShapeError,
                             verify_shapes)
 from essedge.gaussian import parse_gaussian
@@ -55,22 +61,24 @@ def test_linear_cluster_walk_too_short(m136_skeleton, m136_shapes):
 
 def test_developed_cross_ratios_reproduce_shapes(m136_skeleton, m136_shapes,
                                                  monkeypatch):
-    """Developing across every glued face of every tetrahedron's base
-    instance reproduces the shapes, checked here without the scan's own
-    cross-ratio check."""
+    """Developing across every face that joins two flat tetrahedra, from
+    each flat tetrahedron's base instance, reproduces the shapes, checked
+    here without the scan's own cross-ratio check."""
     monkeypatch.setattr(essedge.develop, "_check_cross_ratios",
-                        lambda shapes, inst: inst)
+                        lambda slots, inst: inst)
     tri = m136_skeleton.triangulation
-    for tet in range(tri.tet_count):
-        base = _base_instance(m136_shapes, tet)
-        # every face of m136 is glued
-        neighbours = [_develop_across(tri, m136_shapes, base, face)
-                      for face in range(4)]
+    slots = _flat_slots(m136_shapes)
+    assert sorted(slots) == [3, 5]
+    for tet in slots:
+        base = _base_instance(slots, tet)
+        neighbours = [_develop_across(tri, slots, base, face)
+                      for face in _intra_faces(tri, sorted(slots), tet)]
+        assert len(neighbours) == 2
         for inst in [base] + neighbours:
             for slot, order in enumerate(_SLOT_ORDER):
-                value = cross_ratio_shape(*(inst.positions[v]
-                                            for v in order))
-                assert value == m136_shapes.slot_value(inst.tet, slot)
+                num, den = cross_ratio(*(inst.positions[v] for v in order))
+                assert (Fraction(num, den)
+                        == m136_shapes.slot_value(inst.tet, slot))
 
 
 def test_every_developed_instance_is_checked(m136_skeleton, m136_shapes,
@@ -105,6 +113,7 @@ def test_scan_is_frame_independent(m136_skeleton, m136_shapes):
     conj = Moebius(1, 2, 3, 7)
     moved = conj.compose(translation).compose(conj.inverse())
     assert moved.is_parabolic()
+    assert not moved.is_identity()
 
 
 def test_develop_rejects_float_shapes(fig8_skeleton):
@@ -121,3 +130,158 @@ def test_develop_rejects_unverified(m136_skeleton):
     with pytest.raises(ShapeError):
         develop_and_scan(m136_skeleton,
                          ShapeAssignment([parse_gaussian("i")] * 7))
+
+
+def test_branching_pillow_scans(m136, m136_shapes):
+    """Two pillow outputs of m136 with exact shapes, m136's and -1 on both
+    pillow tetrahedra, whose flat cluster branches: its development grows
+    past the cap, so the scan is inconclusive."""
+    extended = ShapeAssignment(list(m136_shapes.shapes) + [-1, -1])
+    for edge, sites in ((3, (2, 3)), (6, (1, 2))):
+        tri, _record = pillow_0_2(m136, edge, sites)
+        report = develop_and_scan(tri, extended)
+        assert not report.conclusive_for_flat_clusters
+        [cluster] = report.clusters
+        assert cluster.tets == (3, 5, 7, 8)
+        assert not cluster.conclusive
+        assert (cluster.reason
+                == "development cap 200 exceeded (branching cluster)")
+        assert cluster.instance_count == 203
+        assert cluster.coincidences == []
+        assert cluster.translation is None
+
+
+# ---- the rational projective line ----
+
+def test_projective_points():
+    assert point(2) == _primitive(4, 2) == (2, 1)
+    assert point(Fraction(-3, 6)) == _primitive(3, -6) == (-1, 2)
+    assert INFINITY == _primitive(5, 0) == _primitive(-5, 0)
+    assert point(2) != INFINITY
+    with pytest.raises(ShapeError):
+        _primitive(0, 0)
+
+
+def test_placement_realises_slot_values():
+    z = Fraction(-1, 3)
+    zp = 1 / (1 - z)
+    zpp = 1 - 1 / z
+    positions = [point(0), point(1), INFINITY, point(zp)]
+    values = [Fraction(*cross_ratio(*(positions[v] for v in order)))
+              for order in _SLOT_ORDER]
+    assert values == [z, zp, zpp]
+
+
+def test_fourth_vertex_inverts_cross_ratio():
+    z = Fraction(5, 2)
+    positions = [point(0), point(1), INFINITY, point(1 / (1 - z))]
+    for k in range(4):
+        partial = list(positions)
+        partial[k] = None
+        assert fourth_vertex(partial, z) == positions[k]
+
+
+def test_moebius_triples():
+    a = (point(0), point(1), INFINITY)
+    b = (point(3), point(Fraction(1, 2)), point(-2))
+    m = moebius_between(a, b)
+    assert tuple(m(p) for p in a) == b
+    assert m.inverse().compose(m).is_identity()
+
+
+def test_moebius_between():
+    ps = (point(0), point(1), INFINITY, point(Fraction(-2, 3)))
+    m = Moebius(1, 3, 0, 1)
+    images = tuple(m(p) for p in ps)
+    found = moebius_between(ps, images)
+    assert found is not None
+    assert all(found(p) == q for p, q in zip(ps, images))
+    # no single map exists when the fourth point is off
+    bad = images[:3] + (point(100),)
+    assert moebius_between(ps, bad) is None
+
+
+def test_parabolic_translation():
+    t = Moebius(1, 1, 0, 1)
+    assert t.is_parabolic()
+    w, c = t.translation_frame()
+    assert w.is_identity() and c == 1
+    s = moebius_between((point(0), point(1), INFINITY),
+                        (point(1), point(2), INFINITY))
+    assert s.is_parabolic()
+    # a translation conjugated away from oo: its frame sends the fixed
+    # point conj(oo) = 2 back to oo, where it translates by c
+    conj = Moebius(2, 1, 1, 1)
+    t = conj.compose(Moebius(2, 3, 0, 2)).compose(conj.inverse())
+    w, c = t.translation_frame()
+    assert w(point(2)) == INFINITY and c != 0
+    assert w.compose(t).compose(w.inverse())(point(0)) == point(c)
+    rot = Moebius(0, -1, 1, 0)  # z -> -1/z, elliptic
+    assert not rot.is_parabolic()
+    with pytest.raises(ValueError):
+        rot.translation_frame()
+
+
+# ---- coincidences modulo a parabolic translation ----
+
+def test_cusp_lifts_coincide_across_periods():
+    """Lifts (oo, 0) and (oo, 2) differ by two periods of z -> z + 1, so
+    their edge classes coincide."""
+    lifts = [(0, INFINITY, point(0)), (1, INFINITY, point(2))]
+    assert _periodic_coincidences(lifts, Moebius(1, 1, 0, 1)) == [(0, 1)]
+
+
+IDENTITY = Moebius(1, 0, 0, 1)
+
+
+def _random_frame(rng):
+    while True:
+        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        if a * d != b * c:
+            return Moebius(a, b, c, d)
+
+
+def _expanded_coincidences(lifts, translation, reach=40):
+    """Pairs of distinct edge classes with lifts that agree under some
+    power translation^k, |k| <= reach, found by applying each power."""
+    forward, backward = [IDENTITY], [IDENTITY]
+    inverse = translation.inverse()
+    for _ in range(reach):
+        forward.append(translation.compose(forward[-1]))
+        backward.append(inverse.compose(backward[-1]))
+    powers = forward + backward[1:]
+    pairs = set()
+    for i, (c1, p1, q1) in enumerate(lifts):
+        images = {frozenset((g(p1), g(q1))) for g in powers}
+        for c2, p2, q2 in lifts[i + 1:]:
+            if c1 != c2 and frozenset((p2, q2)) in images:
+                pairs.add(tuple(sorted((c1, c2))))
+    return sorted(pairs)
+
+
+def test_periodic_coincidences_match_explicit_translates():
+    """On seeded random lift sets, in random frames, the canonical keys
+    find exactly the coincidences that explicit translates find."""
+    rng = random.Random(7)
+    ends = [point(Fraction(k, 2)) for k in range(-6, 7)] + [INFINITY]
+    checked = cusp_hits = 0
+    for _ in range(400):
+        frame = _random_frame(rng) if rng.random() < 0.7 else IDENTITY
+        step = Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2)))
+        step *= rng.choice((1, -1))
+        translation = Moebius(step.denominator, step.numerator, 0,
+                              step.denominator)
+        lifts = []
+        for _ in range(rng.randint(2, 7)):
+            p, q = rng.sample(ends, 2)
+            lifts.append((rng.randint(0, 3), p, q))
+        back = frame.inverse()
+        translation = back.compose(translation).compose(frame)
+        lifts = [(c, back(p), back(q)) for c, p, q in lifts]
+        expected = _expanded_coincidences(lifts, translation)
+        assert _periodic_coincidences(lifts, translation) == expected
+        checked += 1
+        cusp = back(INFINITY)
+        cusp_hits += bool(expected) and any(cusp in (p, q)
+                                            for _, p, q in lifts)
+    assert checked == 400 and cusp_hits > 0

@@ -5,6 +5,7 @@ from collections import defaultdict
 
 import pytest
 
+import record_verdicts
 from record_verdicts import GOLDEN, as_text, differences, records
 
 
@@ -56,3 +57,19 @@ def test_more_methods_keep_every_definite_answer():
                                                sorted(large), subject))
     assert checks >= 1948  # as recorded; more definite answers only add
     assert not violations, violations[:5]
+
+
+def test_diff_exits_nonzero_when_a_record_would_change(monkeypatch, capsys):
+    """--diff gates a commit: it returns when no record would change and
+    exits 1 when one would, writing nothing either way."""
+    golden = json.loads(GOLDEN.read_text())
+    monkeypatch.setattr(record_verdicts, "records", lambda: golden)
+    record_verdicts.main(["--diff"])
+    changed = json.loads(json.dumps(golden))
+    changed[0]["verdict"]["method_log"].append("changed")
+    monkeypatch.setattr(record_verdicts, "records", lambda: changed)
+    with pytest.raises(SystemExit) as exit_info:
+        record_verdicts.main(["--diff"])
+    assert exit_info.value.code == 1
+    assert "method_log" in capsys.readouterr().out
+    assert json.loads(GOLDEN.read_text()) == golden
