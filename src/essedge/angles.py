@@ -9,14 +9,6 @@ from fractions import Fraction
 from .linprog import solve_lp, feasible_point
 from .skeleton import as_skeleton
 
-# slot 0 holds the angle of the opposite edge pair {01, 23}, slot 1 of
-# {02, 13}, slot 2 of {03, 12}
-PAIR_SLOT = {(0, 1): 0, (2, 3): 0, (0, 2): 1, (1, 3): 1, (0, 3): 2, (1, 2): 2}
-
-
-def slot_of(a, b):
-    return PAIR_SLOT[(a, b) if a < b else (b, a)]
-
 
 class AngleVector:
     """3n rationals in pi-units, slots 0..2 per tetrahedron."""
@@ -51,38 +43,21 @@ class AngleVector:
 class AngleSystem:
     """
     The angle equality system of a triangulation: one row per tetrahedron
-    (slot sum 1) followed by one row per interior edge class (incidence sum
-    2).  corner_slots maps each edge class index to the list of slot column
-    indices its cycle passes through (with multiplicity).
+    (slot sum 1) followed by the skeleton's edge rows, one per interior
+    edge class (incidence sum 2).
     """
 
     def __init__(self, skeleton):
-        tri = skeleton.triangulation
-        n = tri.tet_count
-        self.skeleton = skeleton
-        self.tet_count = n
+        n = skeleton.triangulation.tet_count
         self.columns = 3 * n
         rows = []
-        rhs = []
         for t in range(n):
             row = [0] * self.columns
             for s in range(3):
                 row[3 * t + s] = 1
             rows.append(row)
-            rhs.append(Fraction(1))
-        self.corner_slots = {}
-        for e in skeleton.edge_classes:
-            slots = [3 * t + slot_of(a, b) for t, (a, b) in e.corners]
-            self.corner_slots[e.index] = slots
-            if not e.closed:
-                continue
-            row = [0] * self.columns
-            for s in slots:
-                row[s] += 1
-            rows.append(row)
-            rhs.append(Fraction(2))
-        self.matrix = rows
-        self.rhs = rhs
+        self.matrix = rows + skeleton.edge_rows
+        self.rhs = [Fraction(1)] * n + [Fraction(2)] * len(skeleton.edge_rows)
 
     @property
     def shape(self):
@@ -156,33 +131,32 @@ def enumerate_taut(tri_or_skeleton, limit=None):
     by backtracking in lexicographic slot order; at most `limit` results.
     """
     skeleton = as_skeleton(tri_or_skeleton)
-    system = AngleSystem(skeleton)
-    n = system.tet_count
-    edges = [e for e in skeleton.edge_classes if e.closed]
+    n = skeleton.triangulation.tet_count
+    edges = [e.index for e in skeleton.edge_classes if e.closed]
     # per tet, per slot: incidence counts on each closed edge class
     counts = [[{} for _ in range(3)] for _ in range(n)]
-    for e in edges:
-        for s in system.corner_slots[e.index]:
-            t, slot = divmod(s, 3)
-            d = counts[t][slot]
-            d[e.index] = d.get(e.index, 0) + 1
+    for e, row in zip(edges, skeleton.edge_rows):
+        for col, k in enumerate(row):
+            if k:
+                t, slot = divmod(col, 3)
+                counts[t][slot][e] = k
     max_rest = [{} for _ in range(n + 1)]
     for t in range(n - 1, -1, -1):
         acc = dict(max_rest[t + 1])
         for e in edges:
-            best = max(counts[t][s].get(e.index, 0) for s in range(3))
-            acc[e.index] = acc.get(e.index, 0) + best
+            best = max(counts[t][s].get(e, 0) for s in range(3))
+            acc[e] = acc.get(e, 0) + best
         max_rest[t] = acc
 
     results = []
-    acc = {e.index: 0 for e in edges}
+    acc = {e: 0 for e in edges}
     choice = [0] * n
 
     def backtrack(t):
         if limit is not None and len(results) >= limit:
             return
         if t == n:
-            if all(acc[e.index] == 2 for e in edges):
+            if all(acc[e] == 2 for e in edges):
                 entries = []
                 for tt in range(n):
                     for s in range(3):
@@ -199,9 +173,8 @@ def enumerate_taut(tri_or_skeleton, limit=None):
                 for e_index, k in counts[t][s].items():
                     acc[e_index] += k
                 # prune when some edge can no longer reach 2
-                reachable = all(
-                    acc[e.index] + max_rest[t + 1].get(e.index, 0) >= 2
-                    for e in edges)
+                reachable = all(acc[e] + max_rest[t + 1].get(e, 0) >= 2
+                                for e in edges)
                 if reachable:
                     choice[t] = s
                     backtrack(t + 1)

@@ -45,8 +45,9 @@ from .decide import Budget, abelian_separation, decide_double_coset
 from .develop import develop_and_scan
 from .fundamental import SpineData, presentation_closed
 from .presentation import concat
-from .shapes import (ShapeAssignment, verify_shapes, completeness_products,
-                     solve_shapes_newton, NewtonError, ShapeError)
+from .shapes import (ShapeAssignment, as_shapes, verify_shapes,
+                     completeness_products, solve_shapes_newton, NewtonError,
+                     ShapeError)
 from .skeleton import as_skeleton
 from .gaussian import GaussianRational
 
@@ -132,8 +133,7 @@ def _exact_shapes(spine, shapes, log):
     neighbours, which the flat-cluster scan assumes away, so such a
     solution is skipped."""
     if shapes is not None:
-        if not isinstance(shapes, ShapeAssignment):
-            shapes = ShapeAssignment(shapes)
+        shapes = as_shapes(shapes, spine.skeleton)
         if not shapes.exact:
             log.append("geometry: supplied shapes are floating; skipped")
             return None

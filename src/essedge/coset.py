@@ -42,8 +42,12 @@ class CosetTable:
         return coset
 
     def verify(self):
-        """Replay the certificate: the table is a genuine action where all
-        relators act trivially and the subgroup generators fix coset 0."""
+        """Whether the table is a genuine action of the group (every
+        relator acts trivially) in which the subgroup generators fix coset
+        0.  That proves the subgroup lies in the stabiliser of coset 0, so
+        a word moving coset 0 is not in the subgroup; it does not prove the
+        stabiliser is the subgroup, so a word fixing coset 0 need not lie
+        in it."""
         n = len(self.rows)
         for c, row in enumerate(self.rows):
             if len(row) != 2 * self.ngens:

@@ -18,8 +18,9 @@ Every verdict is three-valued.  A yes or no carries a certificate that
   the integer span of the subgroups' and relators' exponent vectors;
 * "rewriting_trace" (yes): "trace", cyclic words from w to the empty word;
 * "coset_table" (either): a completed, verifiable "table" for H1 (or for
-  H2 when "swapped"), with "h2_inverse_factors" for a yes and the size of
-  the tested orbit "orbit_size" for a no;
+  H2 when "swapped"), with "h2_inverse_factors" and the cap "max_cosets"
+  the enumeration completed under for a yes, and the size of the tested
+  orbit "orbit_size" for a no;
 * "quotient_separation" (no): a homomorphism to S_"degree" given by
   generator "images" that separates w from the image of H2·H1.  The
   search starts at S_3: S_2 is abelian, so a homomorphism to it factors
@@ -489,6 +490,7 @@ def decide_double_coset(presentation, h1_words, h2_words, word, budget=None):
                                         "table": table.to_json(),
                                         "h2_inverse_factors":
                                             list(orbit[min(hits)]),
+                                        "max_cosets": budget.coset_nodes,
                                         "swapped": swap})
         return GroupVerdict("no", {"kind": "coset_table",
                                    "table": table.to_json(),
@@ -569,13 +571,20 @@ def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
         subgroup, others, w = h1_words, h2_words, word
         if cert.get("swapped"):
             subgroup, others, w = h2_words, h1_words, inverse_word(word)
-        table = _rebuild_table(presentation, subgroup, cert)
-        if table is None:
-            return False
         if verdict.answer == "yes":
+            # a valid action only puts x w in the stabiliser of coset 0,
+            # which contains the subgroup but can be larger; the table must
+            # be the subgroup's own, as its enumeration rebuilds it
+            cap = cert.get("max_cosets")
+            table = (coset_enumeration(presentation, subgroup, max_cosets=cap)
+                     if isinstance(cap, int) else None)
+            if table is None or table.to_json() != cert["table"]:
+                return False
             x = _product(others, cert["h2_inverse_factors"])
             return table.apply(0, concat(x, w)) == 0
-        return not any(table.apply(c, w) == 0 for c in _orbit(table, others))
+        table = _rebuild_table(presentation, subgroup, cert)
+        return table is not None and not any(
+            table.apply(c, w) == 0 for c in _orbit(table, others))
     if kind == "quotient_separation":
         n = cert["degree"]
         images = [tuple(p) for p in cert["images"]]

@@ -23,12 +23,14 @@ a complete coincidence scan.
 A flat shape is real, so a flat cluster develops on the rational
 projective line: a point is a primitive integer pair (x : y) with y > 0,
 or oo = (1 : 0), and a Moebius map is a primitive 2x2 integer matrix.
+The real slot values come from the shape assignment's slot table, which
+shapes.py derives once; the scan computes none of its own.
 """
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .shapes import ShapeAssignment, verify_shapes, ShapeError
+from .shapes import as_shapes, verify_shapes, ShapeError
 from .skeleton import as_skeleton
 from .triangulation import TET_EDGES, FACE_VERTICES
 
@@ -197,8 +199,9 @@ class DevelopReport:
 
 
 def _flat_slots(shapes):
-    """The three real slot values of each flat tetrahedron, as Fractions."""
-    return {t: tuple(shapes.slot_value(t, slot).re for slot in range(3))
+    """The three real slot values of each flat tetrahedron, as Fractions,
+    read from the shapes' slot table."""
+    return {t: tuple(w.re for w in shapes.slots[3 * t:3 * t + 3])
             for t in shapes.flat_set()}
 
 
@@ -247,8 +250,7 @@ def develop_and_scan(tri_or_skeleton, shapes, cluster_cap=200):
     """
     skeleton = as_skeleton(tri_or_skeleton)
     tri = skeleton.triangulation
-    if not isinstance(shapes, ShapeAssignment):
-        shapes = ShapeAssignment(shapes)
+    shapes = as_shapes(shapes, skeleton)
     if not shapes.exact:
         raise ShapeError("the development needs exact shapes")
     if not verify_shapes(skeleton, shapes).passed:

@@ -9,8 +9,8 @@ the index range.  The MoveRecord reports the renumbering so callers can
 track simplices across the move.
 """
 from .triangulation import Perm4, Triangulation, _perm_from_map
-from .skeleton import build_skeleton
-from .angles import AngleVector, slot_of
+from .skeleton import build_skeleton, slot_of
+from .angles import AngleVector
 
 
 class MoveError(ValueError):

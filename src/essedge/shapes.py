@@ -6,14 +6,21 @@ log-form equations, and the bridge from shapes to angle structures.
 Shape slot convention, validated by the exact edge products of the bundled
 fixtures: z at the {01, 23} edge pair, 1/(1-z) at {02, 13}, 1-1/z at
 {03, 12}.
+
+Each fact is derived in one place and read everywhere.  `slot_values`
+alone applies the convention, and a ShapeAssignment derives its table of
+3n slot values with it on first use.  The edge rows are the skeleton's
+edge-slot incidence, which the angle equations share.  `_row_product`
+evaluates an edge or cusp equation on the slot table, and `as_shapes`
+coerces and length-checks every shape input.
 """
 import cmath
 import math
+from functools import cached_property
 
-from .angles import slot_of
 from .fundamental import SpineData
 from .gaussian import GaussianRational, as_gaussian, parse_gaussian, ONE
-from .skeleton import as_skeleton
+from .skeleton import as_skeleton, slot_of
 
 
 class ShapeError(ValueError):
@@ -24,24 +31,21 @@ class NewtonError(RuntimeError):
     pass
 
 
+def slot_values(z):
+    """The slot values (z, 1/(1-z), 1-1/z) of a shape z, exact for a
+    GaussianRational."""
+    one = ONE if isinstance(z, GaussianRational) else 1.0
+    return z, one / (one - z), one - one / z
+
+
 class ShapeAssignment:
-    """One shape per tetrahedron, exact GaussianRational or complex float;
-    the derived slot values are 1/(1-z) and 1-1/z."""
+    """One shape per tetrahedron, exact GaussianRational or complex float,
+    with its slot values derived once, on first use."""
 
     def __init__(self, shapes):
-        values = []
-        exact = True
-        for z in shapes:
-            if isinstance(z, GaussianRational):
-                pass
-            elif isinstance(z, complex):
-                exact = False
-            else:
-                z = as_gaussian(z)
-            values.append(z)
-        self.shapes = tuple(values)
-        self.exact = exact and all(isinstance(z, GaussianRational)
-                                   for z in values)
+        self.shapes = tuple(z if isinstance(z, complex) else as_gaussian(z)
+                            for z in shapes)
+        self.exact = all(isinstance(z, GaussianRational) for z in self.shapes)
         for t, z in enumerate(self.shapes):
             if z == 0 or z == 1:
                 raise ShapeError("tetrahedron %d has degenerate shape %r"
@@ -50,19 +54,18 @@ class ShapeAssignment:
     def __len__(self):
         return len(self.shapes)
 
-    def slot_value(self, tet, slot):
-        z = self.shapes[tet]
-        if slot == 0:
-            return z
-        one = ONE if isinstance(z, GaussianRational) else 1.0
-        if slot == 1:
-            return one / (one - z)
-        return one - one / z
+    @cached_property
+    def slots(self):
+        """The 3n slot values: entry 3t + s is slot s of tetrahedron t."""
+        return tuple(w for z in self.shapes for w in slot_values(z))
 
-    def triple_product(self, tet):
-        """z * z' * z'' (explicitly -1 for every admissible shape)."""
-        return (self.slot_value(tet, 0) * self.slot_value(tet, 1)
-                * self.slot_value(tet, 2))
+    @cached_property
+    def arguments(self):
+        """The argument of each slot value, in pi-units."""
+        return tuple(_slot_argument(w) for w in self.slots)
+
+    def slot_value(self, tet, slot):
+        return self.slots[3 * tet + slot]
 
     def flat_set(self):
         """Tetrahedra whose shape has zero imaginary part."""
@@ -95,6 +98,17 @@ def parse_shapes(text):
     return ShapeAssignment([parse_gaussian(e) for e in entries])
 
 
+def as_shapes(shapes, skeleton):
+    """The shapes as a ShapeAssignment, one per tetrahedron of the
+    skeleton."""
+    if not isinstance(shapes, ShapeAssignment):
+        shapes = ShapeAssignment(shapes)
+    n = skeleton.triangulation.tet_count
+    if len(shapes) != n:
+        raise ShapeError("expected %d shapes, got %d" % (n, len(shapes)))
+    return shapes
+
+
 class GluingSystem:
     """
     Exponent data of the gluing and completeness equations: edge_rows[e]
@@ -107,17 +121,11 @@ class GluingSystem:
         spine = (tri_or_skeleton if isinstance(tri_or_skeleton, SpineData)
                  else SpineData(tri_or_skeleton))
         skeleton = spine.skeleton
-        tri = skeleton.triangulation
-        n = tri.tet_count
-        self.spine = spine
         self.skeleton = skeleton
-        self.columns = 3 * n
-        self.edge_rows = []
-        for e in skeleton.edge_classes:
-            row = [0] * self.columns
-            for t, (a, b) in e.corners:
-                row[3 * t + slot_of(a, b)] += 1
-            self.edge_rows.append(row)
+        self.columns = 3 * skeleton.triangulation.tet_count
+        # with every vertex link a torus every edge is interior, so these
+        # are the rows of all the edge classes
+        self.edge_rows = skeleton.edge_rows
         self.cusp_rows = []
         for link in skeleton.vertex_links:
             if link.surface_kind != "torus":
@@ -172,12 +180,10 @@ def build_gluing_system(tri_or_skeleton):
 
 
 class ShapeReport:
-    def __init__(self, edge_products, edge_argument_sums, flat,
-                 triple_products, exact):
+    def __init__(self, edge_products, edge_argument_sums, flat, exact):
         self.edge_products = edge_products
         self.edge_argument_sums = edge_argument_sums
         self.flat = flat
-        self.triple_products = triple_products
         self.exact = exact
 
     @property
@@ -213,6 +219,16 @@ def _slot_argument(value):
     return phase / math.pi
 
 
+def _row_product(row, shapes):
+    """The product of the slot values raised to the row's exponents: the
+    left-hand side of an edge or cusp equation."""
+    prod = ONE if shapes.exact else complex(1.0)
+    for value, exp in zip(shapes.slots, row):
+        for _ in range(abs(exp)):
+            prod = prod * value if exp > 0 else prod / value
+    return prod
+
+
 def verify_shapes(tri_or_skeleton, shapes):
     """
     Exact check of the edge equations: for each edge class the product of
@@ -220,48 +236,20 @@ def verify_shapes(tri_or_skeleton, shapes):
     pi-units, plus the flat set.
     """
     skeleton = as_skeleton(tri_or_skeleton)
-    if not isinstance(shapes, ShapeAssignment):
-        shapes = ShapeAssignment(shapes)
-    if len(shapes) != skeleton.triangulation.tet_count:
-        raise ShapeError("expected %d shapes, got %d"
-                         % (skeleton.triangulation.tet_count, len(shapes)))
-    products = []
-    argsums = []
-    for e in skeleton.edge_classes:
-        if not e.closed:
-            continue
-        prod = None
-        argsum = 0.0
-        for t, (a, b) in e.corners:
-            v = shapes.slot_value(t, slot_of(a, b))
-            prod = v if prod is None else prod * v
-            argsum += _slot_argument(v)
-        products.append(prod)
-        argsums.append(argsum)
-    triples = [shapes.triple_product(t)
-               for t in range(len(shapes))]
-    return ShapeReport(products, argsums, shapes.flat_set(), triples,
-                       shapes.exact)
+    shapes = as_shapes(shapes, skeleton)
+    rows = skeleton.edge_rows
+    return ShapeReport([_row_product(row, shapes) for row in rows],
+                       [sum(exp * arg for exp, arg
+                            in zip(row, shapes.arguments)) for row in rows],
+                       shapes.flat_set(), shapes.exact)
 
 
 def completeness_products(tri_or_skeleton, shapes):
     """Exact cusp-equation products (one per peripheral curve); all equal
     to 1 exactly when the verified solution is complete."""
     system = build_gluing_system(tri_or_skeleton)
-    if not isinstance(shapes, ShapeAssignment):
-        shapes = ShapeAssignment(shapes)
-    out = []
-    for row in system.cusp_rows:
-        prod = ONE if shapes.exact else complex(1.0)
-        for col, exp in enumerate(row):
-            if not exp:
-                continue
-            t, slot = divmod(col, 3)
-            v = shapes.slot_value(t, slot)
-            for _ in range(abs(exp)):
-                prod = prod * v if exp > 0 else prod / v
-        out.append(prod)
-    return out
+    shapes = as_shapes(shapes, system.skeleton)
+    return [_row_product(row, shapes) for row in system.cusp_rows]
 
 
 def shapes_to_angles(tri_or_skeleton, shapes, tol=1e-9):
@@ -271,33 +259,24 @@ def shapes_to_angles(tri_or_skeleton, shapes, tol=1e-9):
     tetrahedra contribute 0/1 entries.  Raises when verify_shapes fails.
     """
     skeleton = as_skeleton(tri_or_skeleton)
-    if not isinstance(shapes, ShapeAssignment):
-        shapes = ShapeAssignment(shapes)
+    shapes = as_shapes(shapes, skeleton)
     report = verify_shapes(skeleton, shapes)
     if not report.products_ok or not report.arguments_ok(tol):
         raise ShapeError("shape assignment fails the edge equations")
-    out = []
-    for t in range(len(shapes)):
-        for slot in range(3):
-            out.append(_slot_argument(shapes.slot_value(t, slot)))
-    return out
+    return list(shapes.arguments)
 
 
 def _log_residual(system, zs):
     """Residuals of all log equations at the given complex shapes."""
-    values = []
+    values = [w for z in zs for w in slot_values(z)]
+    residuals = []
     for row, target in zip(system.rows, system.targets()):
         total = 0j
-        for col, exp in enumerate(row):
-            if not exp:
-                continue
-            t, slot = divmod(col, 3)
-            z = zs[t]
-            w = z if slot == 0 else (1.0 / (1.0 - z) if slot == 1
-                                     else 1.0 - 1.0 / z)
-            total += exp * cmath.log(w)
-        values.append(total - target)
-    return values
+        for w, exp in zip(values, row):
+            if exp:
+                total += exp * cmath.log(w)
+        residuals.append(total - target)
+    return residuals
 
 
 def _jacobian_row(row, zs):

@@ -2,7 +2,18 @@
 Quotient skeleton of a triangulation: edge classes, face classes, vertex
 links, and the pseudo-manifold classification.
 """
+from functools import cached_property
+
 from .triangulation import FACE_VERTICES, TET_EDGES
+
+# slot 0 holds the opposite edge pair {01, 23}, slot 1 {02, 13}, slot 2
+# {03, 12}; column 3t + s of the angle and gluing equations is slot s of
+# tetrahedron t
+PAIR_SLOT = {(0, 1): 0, (2, 3): 0, (0, 2): 1, (1, 3): 1, (0, 3): 2, (1, 2): 2}
+
+
+def slot_of(a, b):
+    return PAIR_SLOT[(a, b) if a < b else (b, a)]
 
 
 class EdgeClass:
@@ -152,6 +163,20 @@ class SkeletonSummary:
 
     def degrees(self):
         return tuple(e.degree for e in self.edge_classes)
+
+    @cached_property
+    def edge_rows(self):
+        """The edge-slot incidence, built once and shared by the angle and
+        gluing equations: one row per interior edge class, in class order,
+        counting the class's corners at each of the 3n slot columns."""
+        rows = []
+        for e in self.edge_classes:
+            if e.closed:
+                row = [0] * (3 * self.triangulation.tet_count)
+                for t, (a, b) in e.corners:
+                    row[3 * t + slot_of(a, b)] += 1
+                rows.append(row)
+        return rows
 
     def __repr__(self):
         return ("SkeletonSummary(%d vertices, %d edges %s, %d faces, %s)"

@@ -4,7 +4,8 @@ import pytest
 
 from essedge import Triangulation, build_skeleton
 from essedge.angles import (AngleVector, build_angle_system, solve_angle_lp,
-                            enumerate_taut, formal_gauss_bonnet, slot_of)
+                            enumerate_taut, formal_gauss_bonnet)
+from essedge.skeleton import slot_of
 
 
 def test_system_shapes(fig8_skeleton, m136_skeleton):

@@ -147,6 +147,18 @@ def test_each_fact_computed_once(request, monkeypatch, m136_shapes, name,
     assert len(set(verdict.method_log)) == len(verdict.method_log)
 
 
+def test_slot_values_derived_once(monkeypatch, m136_skeleton, m136_shapes):
+    """The shape checks of a certification and the development all read
+    one slot table, derived with one call per tetrahedron."""
+    calls = Counter()
+    _count_calls(monkeypatch, essedge.shapes.slot_values, calls)
+    shapes = ShapeAssignment(m136_shapes.shapes)
+    verdict = certify_strongly_essential(m136_skeleton, shapes=shapes)
+    assert any("flat-cluster scan conclusive" in line
+               for line in verdict.method_log)
+    assert calls["slot_values"] == len(shapes) == 7
+
+
 def test_verified_shapes_make_every_edge_essential(monkeypatch, m136_skeleton,
                                                    m136_shapes):
     """The geometric edge tier reads the verified solution alone: it

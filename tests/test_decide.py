@@ -7,12 +7,14 @@ from essedge import build_skeleton, parse_triangulation
 from essedge.certify import _Analysis
 from essedge.presentation import (Presentation, word_from_string as words,
                                   inverse_word)
-from essedge.decide import (Budget, decide_word, decide_membership,
-                            decide_double_coset, replay_rewrite_trace,
-                            quotient_search, subgroup_closure, _evaluate,
-                            abelian_separation, _double_coset_separation)
+from essedge.decide import (Budget, GroupVerdict, decide_word,
+                            decide_membership, decide_double_coset,
+                            replay_rewrite_trace, replay_word_verdict,
+                            replay_double_coset_verdict, quotient_search,
+                            subgroup_closure, _evaluate, abelian_separation,
+                            _double_coset_separation)
 from essedge.coset import CosetTable
-from essedge.fundamental import presentation_spine
+from essedge.fundamental import presentation_closed, presentation_spine
 from essedge.moves import pillow_0_2
 from test_random_properties import random_closed_triangulation
 
@@ -167,6 +169,41 @@ def test_double_coset_with_finite_index():
     verdict2 = decide_double_coset(s3, [words("a")], [words("ab")],
                                    words("b"))
     assert verdict2.answer == "yes"
+    assert verdict2.certificate["kind"] == "coset_table"
+    for v, h2 in ((verdict, "a"), (verdict2, "ab")):
+        assert replay_double_coset_verdict(s3, [words("a")], [words(h2)],
+                                           words("b"), v)
+
+
+def test_forged_coset_table_does_not_replay(q8_skeleton):
+    """In a one-coset table every generator fixes coset 0.  It is a valid
+    action, but its stabiliser is the whole group, so it cannot show a
+    word trivial.  Generator 1 of q8 is nontrivial by abelianisation."""
+    q8 = presentation_closed(q8_skeleton)
+    nontrivial = decide_word(q8, (1,))
+    assert nontrivial.answer == "yes"
+    assert nontrivial.certificate["kind"] == "abelianization"
+    n = q8.generator_count
+    forged = {"kind": "coset_table", "swapped": False,
+              "table": {"cosets": 1, "generators": n,
+                        "table": [[0] * (2 * n)]},
+              "h2_inverse_factors": [], "max_cosets": 20000}
+    assert not replay_word_verdict(q8, (1,), GroupVerdict("no", forged))
+
+
+def test_swapped_coset_attempt():
+    """With H1 trivial in F2 no table for H1 completes, so the table for
+    H2, the words of even length, decides the inverse question."""
+    h2 = [words("aa"), words("ab"), words("aB")]
+    w = words("abAB")
+    verdict = decide_double_coset(FREE2, [], h2, w,
+                                  Budget(factor_depth=0, coset_nodes=50))
+    assert verdict.answer == "yes"
+    assert verdict.certificate["kind"] == "coset_table"
+    assert verdict.certificate["swapped"] is True
+    assert replay_double_coset_verdict(FREE2, [], h2, w, verdict)
+    unswapped = GroupVerdict("yes", dict(verdict.certificate, swapped=False))
+    assert not replay_double_coset_verdict(FREE2, [], h2, w, unswapped)
 
 
 def test_quotient_search_finds_s3():

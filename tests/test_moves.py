@@ -167,7 +167,7 @@ def test_taut_transport_requires_opposite_sides(m136, m136_skeleton):
             if fi == fj:
                 continue
             for taut in tauts:
-                from essedge.angles import slot_of
+                from essedge.skeleton import slot_of
                 arc1 = sum(int(taut.slot(edge.corners[k][0],
                                          slot_of(*edge.corners[k][1])))
                            for k in range(min(i, j) + 1, max(i, j) + 1))

@@ -45,13 +45,12 @@ def test_m136_verify_all_edges(m136_skeleton, m136_shapes):
     assert report.arguments_ok(1e-9)
     assert report.flat == [3, 5]
     assert report.passed
-    assert all(p == GaussianRational(-1) for p in report.triple_products)
 
 
 def test_m136_alternate_slot_convention_fails(m136_skeleton, m136_shapes):
     """Swapping the slot-1 and slot-2 values breaks the edge products, so
     exactly one convention is compatible with the fixture data."""
-    from essedge.angles import slot_of
+    from essedge.skeleton import slot_of
     swapped_total = []
     for e in m136_skeleton.edge_classes:
         acc = GaussianRational(1)
@@ -67,6 +66,13 @@ def test_m136_completeness_exact(m136_skeleton, m136_shapes):
     products = completeness_products(m136_skeleton, m136_shapes)
     assert len(products) == 2
     assert all(p == GaussianRational(1) for p in products)
+
+
+@pytest.mark.parametrize("count", [6, 8])
+def test_completeness_checks_shape_count(m136_skeleton, m136_shapes, count):
+    shapes = (list(m136_shapes.shapes) * 2)[:count]
+    with pytest.raises(ShapeError, match="expected 7 shapes"):
+        completeness_products(m136_skeleton, shapes)
 
 
 def test_constant_i_fails_on_wrong_degrees(m136_skeleton):
