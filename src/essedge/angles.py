@@ -1,12 +1,14 @@
 """
 Angle structures on ideal triangulations: exact equation systems, semi and
-strict feasibility by rational LP, taut enumeration, and the combinatorial
+strict feasibility by one rational LP (t*, the largest possible smallest
+angle, is >= 0 exactly when a semi-angle structure exists and > 0
+exactly when a strict one does), taut enumeration, and the combinatorial
 Gauss-Bonnet sum.  All angles are in units of pi, so the tetrahedron
 equations have right-hand side 1 and the edge equations 2.
 """
 from fractions import Fraction
 
-from .linprog import solve_lp, feasible_point
+from .linprog import solve_lp
 from .skeleton import as_skeleton
 
 
@@ -50,12 +52,8 @@ class AngleSystem:
     def __init__(self, skeleton):
         n = skeleton.triangulation.tet_count
         self.columns = 3 * n
-        rows = []
-        for t in range(n):
-            row = [0] * self.columns
-            for s in range(3):
-                row[3 * t + s] = 1
-            rows.append(row)
+        rows = [[int(c // 3 == t) for c in range(self.columns)]
+                for t in range(n)]
         self.matrix = rows + skeleton.edge_rows
         self.rhs = [Fraction(1)] * n + [Fraction(2)] * len(skeleton.edge_rows)
 
@@ -92,36 +90,43 @@ def build_angle_system(tri_or_skeleton):
     return AngleSystem(skeleton)
 
 
-def solve_angle_lp(tri_or_skeleton, mode):
-    """
-    Exact feasibility of the angle equations.
-
-    mode "semi": a solution with all entries >= 0, or infeasible.
-    mode "strict": maximise t subject to the equalities and entries >= t;
-    the outcome carries the exact optimum and an optimal witness, and is
-    feasible exactly when t* > 0 (a strict angle structure exists).
-    """
-    system = build_angle_system(tri_or_skeleton)
-    A, b = system.matrix, system.rhs
-    if mode == "semi":
-        x = feasible_point(A, b)
-        if x is None:
-            return LPOutcome("infeasible")
-        return LPOutcome("feasible", AngleVector(x))
-    if mode != "strict":
-        raise ValueError("mode must be 'semi' or 'strict'")
-    ncols = system.columns
-    if ncols == 0:
-        return LPOutcome("infeasible")
+def max_min_angle(skeleton):
+    """The one angle LP, held by the skeleton as `angle_lp`: (t*, an
+    optimal witness) for t* the largest possible smallest angle, or None
+    when the angle equations have no solution."""
+    system = AngleSystem(skeleton)
+    A, ncols = system.matrix, system.columns
     # substitute x = y + t, y >= 0, t = tp - tm free
     rowsum = [sum(row) for row in A]
     A2 = [row + [rowsum[i], -rowsum[i]] for i, row in enumerate(A)]
     c = [Fraction(0)] * ncols + [Fraction(-1), Fraction(1)]
-    status, x, value = solve_lp(A2, b, c)
+    status, x, value = solve_lp(A2, system.rhs, c)
     if status != "optimal":
-        return LPOutcome("infeasible")
+        return None
     t = -value
-    witness = AngleVector([xi + t for xi in x[:ncols]])
+    return t, AngleVector([xi + t for xi in x[:ncols]])
+
+
+def solve_angle_lp(tri_or_skeleton, mode):
+    """
+    Exact feasibility of the angle equations, both modes read from the
+    skeleton's one LP: a semi-angle structure exists exactly when t* >= 0
+    and a strict one exactly when t* > 0.  Both carry the optimal witness,
+    whose entries are all >= t*; strict also carries t*.  Without
+    tetrahedra the empty vector is semi and nothing is strict.
+    """
+    if mode not in ("semi", "strict"):
+        raise ValueError("mode must be 'semi' or 'strict'")
+    skeleton = as_skeleton(tri_or_skeleton)
+    if not skeleton.triangulation.tet_count:
+        return (LPOutcome("feasible", AngleVector([])) if mode == "semi"
+                else LPOutcome("infeasible"))
+    if skeleton.angle_lp is None:
+        return LPOutcome("infeasible")
+    t, witness = skeleton.angle_lp
+    if mode == "semi":
+        return (LPOutcome("feasible", witness) if t >= 0
+                else LPOutcome("infeasible"))
     return LPOutcome("feasible" if t > 0 else "infeasible", witness, t)
 
 
@@ -142,11 +147,9 @@ def enumerate_taut(tri_or_skeleton, limit=None):
                 counts[t][slot][e] = k
     max_rest = [{} for _ in range(n + 1)]
     for t in range(n - 1, -1, -1):
-        acc = dict(max_rest[t + 1])
-        for e in edges:
-            best = max(counts[t][s].get(e, 0) for s in range(3))
-            acc[e] = acc.get(e, 0) + best
-        max_rest[t] = acc
+        max_rest[t] = {e: max_rest[t + 1].get(e, 0)
+                       + max(counts[t][s].get(e, 0) for s in range(3))
+                       for e in edges}
 
     results = []
     acc = {e: 0 for e in edges}
@@ -157,30 +160,22 @@ def enumerate_taut(tri_or_skeleton, limit=None):
             return
         if t == n:
             if all(acc[e] == 2 for e in edges):
-                entries = []
-                for tt in range(n):
-                    for s in range(3):
-                        entries.append(Fraction(1 if choice[tt] == s else 0))
-                results.append(AngleVector(entries))
+                results.append(AngleVector([int(choice[tt] == s)
+                                            for tt in range(n)
+                                            for s in range(3)]))
             return
         for s in range(3):
-            ok = True
-            for e_index, k in counts[t][s].items():
-                if acc[e_index] + k > 2:
-                    ok = False
-                    break
-            if ok:
-                for e_index, k in counts[t][s].items():
-                    acc[e_index] += k
-                # prune when some edge can no longer reach 2
-                reachable = all(acc[e] + max_rest[t + 1].get(e, 0) >= 2
-                                for e in edges)
-                if reachable:
-                    choice[t] = s
-                    backtrack(t + 1)
-                for e_index, k in counts[t][s].items():
-                    acc[e_index] -= k
-        return
+            incidence = counts[t][s].items()
+            if any(acc[e] + k > 2 for e, k in incidence):
+                continue
+            for e, k in incidence:
+                acc[e] += k
+            # prune when some edge can no longer reach 2
+            if all(acc[e] + max_rest[t + 1].get(e, 0) >= 2 for e in edges):
+                choice[t] = s
+                backtrack(t + 1)
+            for e, k in incidence:
+                acc[e] -= k
 
     if n == 0:
         return []

@@ -30,7 +30,8 @@ Unknown carries "budget_exhausted" and the budget.  All searches are
 deterministic and ordered, so a definite verdict at some budget is
 returned unchanged at any larger budget.
 """
-from itertools import permutations
+import heapq
+from itertools import groupby, permutations
 
 from .presentation import free_reduce, inverse_word, concat, cyclic_reduce
 from .snf import in_column_span
@@ -99,7 +100,8 @@ class GroupVerdict:
 
 def _relator_closure(presentation):
     """All cyclic permutations of the cyclically reduced relators and their
-    inverses; empty relators dropped."""
+    inverses, empty relators dropped, and the same grouped by first
+    letter."""
     closure = set()
     for r in presentation.relators:
         r = cyclic_reduce(r)
@@ -108,7 +110,9 @@ def _relator_closure(presentation):
         for base in (r, inverse_word(r)):
             for i in range(len(base)):
                 closure.add(base[i:] + base[:i])
-    return sorted(closure)
+    closure = sorted(closure)
+    return closure, {first: list(group) for first, group
+                     in groupby(closure, key=lambda rel: rel[0])}
 
 
 def cyclic_canonical(word):
@@ -165,13 +169,9 @@ def rewrite_search(presentation, word, budget):
     Returns the trace as a list of canonical cyclic words ending in (),
     or None when the node budget or length cap is exhausted.
     """
-    import heapq
-    closure = _relator_closure(presentation)
+    closure, closure_by_first = _relator_closure(presentation)
     if not closure:
         return None if cyclic_canonical(word) else [()]
-    closure_by_first = {}
-    for rel in closure:
-        closure_by_first.setdefault(rel[0], []).append(rel)
     start = cyclic_canonical(word)
     if not start:
         return [()]
@@ -235,10 +235,7 @@ def rewrite_search(presentation, word, budget):
 def check_rewrite_step(presentation, before, after):
     """Replay one cyclic rewriting move (the move relation is symmetric,
     so both directions are tried)."""
-    closure = _relator_closure(presentation)
-    closure_by_first = {}
-    for rel in closure:
-        closure_by_first.setdefault(rel[0], []).append(rel)
+    closure, closure_by_first = _relator_closure(presentation)
     before = cyclic_canonical(before)
     after = cyclic_canonical(after)
     limit = max((len(before), len(after))) + max(
@@ -301,7 +298,6 @@ def quotient_search(presentation, predicate, budget):
         top = max((abs(x) for x in r), default=0)
         relators_by_support[top].append(r)
     for n in range(3, budget.quotient_degree + 1):
-        elements = sorted(permutations(range(n)))
         images = [None] * k
         identity = tuple(range(n))
 
@@ -309,7 +305,7 @@ def quotient_search(presentation, predicate, budget):
             nonlocal nodes
             if g == k:
                 return predicate(n, tuple(images))
-            for p in elements:
+            for p in permutations(range(n)):  # lexicographic, lazily
                 nodes += 1
                 if nodes > budget.quotient_nodes:
                     raise _BudgetExhausted
@@ -403,15 +399,18 @@ def decide_membership(presentation, subgroup_words, word, budget=None):
 def abelian_separation(presentation, h1_words, h2_words, word):
     """The decider's abelianisation step, which also runs on its own: a "no"
     verdict when the word's exponent vector lies outside the integer span
-    of the subgroups' and relators' exponent vectors, else None."""
-    target = presentation.exponent_vector(word)
-    columns = ([presentation.exponent_vector(h)
-                for h in list(h1_words) + list(h2_words)]
-               + presentation.relator_matrix())
-    if in_column_span(columns, target):
+    of the subgroups' and relators' exponent vectors, else None.  It reads
+    the presentation's abelianisation: in its coordinates the relators
+    span the torsion columns d_i e_i."""
+    moduli = presentation.abelianization[1]
+    columns = [presentation.abelian_coordinates(h)
+               for h in list(h1_words) + list(h2_words)]
+    columns += [[d if k == i else 0 for k in range(len(moduli))]
+                for i, d in enumerate(moduli) if d]
+    if in_column_span(columns, presentation.abelian_coordinates(word)):
         return None
     return GroupVerdict("no", {"kind": "abelianization",
-                               "image": list(target)})
+                               "image": presentation.exponent_vector(word)})
 
 
 def _product(words, factors):
@@ -586,8 +585,15 @@ def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
         return table is not None and not any(
             table.apply(c, w) == 0 for c in _orbit(table, others))
     if kind == "quotient_separation":
-        n = cert["degree"]
-        images = [tuple(p) for p in cert["images"]]
+        # the relators prove nothing about images that are not bijections
+        n, images = cert.get("degree"), cert.get("images")
+        if not (isinstance(n, int) and n >= 1 and isinstance(images, list)
+                and len(images) == presentation.generator_count
+                and all(isinstance(p, (list, tuple))
+                        and all(type(x) is int for x in p)
+                        and sorted(p) == list(range(n)) for p in images)):
+            return False
+        images = [tuple(p) for p in images]
         identity = tuple(range(n))
         return (verdict.answer == "no"
                 and all(_evaluate(images, r, n) == identity

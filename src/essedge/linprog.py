@@ -82,7 +82,8 @@ def solve_lp(A, b, c):
     min c.x subject to A x = b, x >= 0, all data rational.
 
     Returns (status, x, value) with status "optimal" or "infeasible";
-    raises LPError on an unbounded objective.
+    raises LPError on an unbounded objective.  A zero objective asks for
+    feasibility alone: x is then the vertex phase 1 reaches.
     """
     m = len(A)
     n = len(A[0]) if m else len(c)
@@ -131,9 +132,3 @@ def solve_lp(A, b, c):
     value = sum(ci * xi for ci, xi in zip(c, x))
     return "optimal", x, value
 
-
-def feasible_point(A, b):
-    """A rational solution of A x = b, x >= 0, or None."""
-    n = len(A[0]) if A else 0
-    status, x, _ = solve_lp(A, b, [Fraction(0)] * n)
-    return x if status == "optimal" else None

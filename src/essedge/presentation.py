@@ -3,7 +3,9 @@ Words and finite presentations.  A word is a tuple of nonzero ints, letter
 +-(g+1) standing for generator g or its inverse.  Free reduction is the
 only normalisation ever applied implicitly.
 """
-from .snf import abelian_invariants, cokernel_reducer
+from functools import cached_property
+
+from .snf import smith_normal_form
 
 
 def free_reduce(letters):
@@ -78,6 +80,26 @@ class Presentation:
     def relator_matrix(self):
         return [self.exponent_vector(r) for r in self.relators]
 
+    @cached_property
+    def abelianization(self):
+        """H1 in coordinates, from one Smith normal form U Mt V = D of the
+        transposed relator matrix: (rows of U, moduli d), d = 0 for a free
+        summand.  v lies in the relators' span exactly when each (U v)_i
+        is a multiple of d_i, so coordinates of modulus 1 are dropped."""
+        n = self.generator_count
+        vectors = self.relator_matrix()
+        d, U, _ = smith_normal_form([[v[g] for v in vectors]
+                                     for g in range(n)])
+        d += [0] * (n - len(d))
+        kept = [i for i in range(n) if d[i] != 1]
+        return tuple(tuple(U[i]) for i in kept), tuple(d[i] for i in kept)
+
+    def abelian_coordinates(self, word):
+        """The word in the coordinates of H1, not reduced by the moduli."""
+        v = [(g, x) for g, x in enumerate(self.exponent_vector(word)) if x]
+        return [sum(row[g] * x for g, x in v)
+                for row in self.abelianization[0]]
+
     def __repr__(self):
         return "Presentation(%d generators | %s)" % (
             self.generator_count,
@@ -86,17 +108,16 @@ class Presentation:
 
 def homology(presentation):
     """Smith invariants of the abelianised presentation: torsion factors
-    then one 0 per free factor."""
-    return abelian_invariants(presentation.relator_matrix(),
-                              presentation.generator_count)
+    then one 0 per free factor, the moduli of its abelianisation."""
+    return presentation.abelianization[1]
 
 
 def word_image(presentation, word):
     """Image of a word in the abelianisation, reduced to a canonical tuple
     (zero exactly for words trivial in the abelianisation)."""
-    reduce_vec = cokernel_reducer(presentation.relator_matrix(),
-                                  presentation.generator_count)
-    return reduce_vec(presentation.exponent_vector(word))
+    return tuple(c % d if d else c for c, d in zip(
+        presentation.abelian_coordinates(word),
+        presentation.abelianization[1]))
 
 
 def simplify_presentation(presentation, budget=1000):
@@ -113,47 +134,24 @@ def simplify_presentation(presentation, budget=1000):
     for _ in range(budget):
         relators = sorted({cyclic_reduce(r) for r in relators if r},
                           key=lambda r: (len(r), r))
-        # find a relator with a generator appearing exactly once in it
-        target = None
-        for r in relators:
-            seen = {}
-            for x in r:
-                seen[abs(x)] = seen.get(abs(x), 0) + 1
-            for x in r:
-                if seen[abs(x)] == 1:
-                    target = (r, abs(x))
-                    break
-            if target:
-                break
+        # the first relator with a generator appearing exactly once in it
+        target = next(((r, i) for r in relators for i, x in enumerate(r)
+                       if sum(abs(y) == abs(x) for y in r) == 1), None)
         if target is None:
             break
-        rel, g = target
+        rel, i = target
+        g = abs(rel[i])
         # rotate the unique occurrence of g to the front: g w = 1 gives
         # g -> w^-1, while g^-1 w = 1 gives g -> w
-        i = next(k for k, x in enumerate(rel) if abs(x) == g)
         rot = rel[i:] + rel[:i]
-        if rot[0] == g:
-            replacement = inverse_word(rot[1:])
-        else:
-            replacement = rot[1:]
-        new_relators = []
-        for r in relators:
-            if r == rel:
-                continue
-            out = []
-            for x in r:
-                if x == g:
-                    out.extend(replacement)
-                elif x == -g:
-                    out.extend(inverse_word(replacement))
-                else:
-                    out.append(x)
-            new_relators.append(cyclic_reduce(out))
+        replacement = inverse_word(rot[1:]) if rot[0] == g else rot[1:]
+        images = {g: replacement, -g: inverse_word(replacement)}
+        substituted = [cyclic_reduce([y for x in r
+                                      for y in images.get(x, (x,))])
+                       for r in relators if r != rel]
         # delete generator g, renumber the ones above it
-        def renumber(x):
-            a = abs(x)
-            return (a - 1 if a > g else a) * (1 if x > 0 else -1)
-        relators = [tuple(renumber(x) for x in r) for r in new_relators]
+        relators = [tuple(x - 1 if x > g else x + 1 if x < -g else x
+                          for x in r) for r in substituted]
         ngens -= 1
 
     relators = sorted({cyclic_reduce(r) for r in relators if r},

@@ -178,6 +178,12 @@ class SkeletonSummary:
                 rows.append(row)
         return rows
 
+    @cached_property
+    def angle_lp(self):
+        """The angle LP (`angles.max_min_angle`), solved on first use."""
+        from .angles import max_min_angle  # angles builds on the skeleton
+        return max_min_angle(self)
+
     def __repr__(self):
         return ("SkeletonSummary(%d vertices, %d edges %s, %d faces, %s)"
                 % (self.vertex_count, self.edge_count, self.degrees(),

@@ -45,6 +45,30 @@ def test_m136_semi_feasible(m136_skeleton):
     assert build_angle_system(m136_skeleton).satisfied_by(out.witness)
 
 
+def test_semi_reads_the_strict_optimum(fig8_skeleton, m136_skeleton):
+    """Semi is t* >= 0 with the strict optimum's witness and no optimum of
+    its own; the skeleton holds the one solve both modes read."""
+    for skeleton in (fig8_skeleton, m136_skeleton):
+        semi = solve_angle_lp(skeleton, "semi")
+        strict = solve_angle_lp(skeleton, "strict")
+        assert semi.feasible and semi.optimum is None
+        assert semi.witness == strict.witness
+        assert min(semi.witness.entries) == strict.optimum
+        assert skeleton.angle_lp == (strict.optimum, strict.witness)
+
+
+def test_empty_system():
+    """Without tetrahedra the empty vector is a semi-angle structure and
+    no strict one is claimed."""
+    skeleton = build_skeleton(Triangulation(0, []))
+    semi = solve_angle_lp(skeleton, "semi")
+    assert semi.feasible and semi.witness == AngleVector([])
+    strict = solve_angle_lp(skeleton, "strict")
+    assert not strict.feasible and strict.optimum is None
+    with pytest.raises(ValueError):
+        solve_angle_lp(skeleton, "taut")
+
+
 def test_witness_residuals_exact(fig8_skeleton, m136_skeleton):
     for skeleton in (fig8_skeleton, m136_skeleton):
         system = build_angle_system(skeleton)

@@ -1,17 +1,22 @@
 import sys
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
+import essedge.angles
 import essedge.decide
 import essedge.develop
 import essedge.fundamental
+import essedge.linprog
 import essedge.shapes
-from essedge import ShapeAssignment, Triangulation, build_skeleton
+from essedge import (Presentation, ShapeAssignment, Triangulation,
+                     build_skeleton, parse_triangulation)
 from essedge.certify import (certify_essential, certify_strongly_essential,
                              CertifyError)
 from essedge.decide import Budget
 from essedge.moves import pillow_0_2
+from conftest import fixture_text
 
 
 def test_m136_essential_semi_angle(m136_skeleton):
@@ -145,6 +150,43 @@ def test_each_fact_computed_once(request, monkeypatch, m136_shapes, name,
         methods=methods)
     assert set(calls.values()) <= {1}, calls
     assert len(set(verdict.method_log)) == len(verdict.method_log)
+
+
+def test_one_angle_lp_per_certification(monkeypatch, m136_shapes):
+    """A certification asks the angle LP twice, strict and then semi in its
+    edge pass, and both read the skeleton's one solve.  The triangulation
+    is parsed afresh, so no shared skeleton holds the LP already."""
+    calls = Counter()
+    for fn in (essedge.linprog.solve_lp, essedge.angles.solve_angle_lp):
+        _count_calls(monkeypatch, fn, calls)
+    m136 = parse_triangulation(fixture_text("m136.tri"))
+    verdict = certify_strongly_essential(m136, shapes=m136_shapes)
+    assert verdict.strongly_essential == "yes"
+    assert calls == {"solve_lp": 1, "solve_angle_lp": 2}
+
+
+def test_one_abelianisation_per_certification(monkeypatch):
+    """Every group question of a pillow certification at the A5 budget
+    reads the presentation's one abelianisation."""
+    calls = Counter()
+    derive = Presentation.abelianization.func
+
+    def counted(self):
+        calls["abelianization"] += 1
+        return derive(self)
+
+    spy = cached_property(counted)
+    spy.__set_name__(Presentation, "abelianization")
+    monkeypatch.setattr(Presentation, "abelianization", spy)
+    _count_calls(monkeypatch, essedge.decide.abelian_separation, calls)
+    m136 = parse_triangulation(fixture_text("m136.tri"))
+    pillow, _ = pillow_0_2(m136, 2, (3, 4))
+    budget = Budget(coset_nodes=100, rewrite_steps=100, quotient_degree=2,
+                    quotient_nodes=100, factor_depth=3, factor_nodes=200)
+    certify_strongly_essential(pillow, budget,
+                               methods=("angle", "homology", "group"))
+    assert calls["abelianization"] == 1
+    assert calls["abelian_separation"] > 1
 
 
 def test_slot_values_derived_once(monkeypatch, m136_skeleton, m136_shapes):

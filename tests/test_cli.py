@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from essedge import AngleVector, build_angle_system, parse_triangulation
 from essedge.cli import main
+from essedge.moves import pillow_0_2
 from conftest import fixture_text
 
 
@@ -62,6 +64,24 @@ def test_angles_strict_exit(m136_path, fig8_path, capsys):
     assert "infeasible" in out and "t* = 0" in out
     assert main(["angles", "--strict", fig8_path]) == 0
     capsys.readouterr()
+
+
+def test_angles_semi(m136_path, tmp_path, capsys):
+    """The semi witness is the strict LP's optimal vertex: it satisfies the
+    angle equations exactly with every entry >= 0, and the payload carries
+    no optimum.  A pillow output without a semi-angle structure exits 1."""
+    assert main(["--json", "angles", "--semi", m136_path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "feasible" and "optimum" not in doc
+    m136 = parse_triangulation(fixture_text("m136.tri"))
+    witness = AngleVector(doc["witness"])
+    assert build_angle_system(m136).satisfied_by(witness)
+    assert witness.is_semi()
+    pillow, _ = pillow_0_2(m136, 2, (3, 4))
+    path = tmp_path / "pillow.json"
+    path.write_text(json.dumps(pillow.to_json()))
+    assert main(["angles", "--semi", str(path)]) == 1
+    assert "semi: infeasible" in capsys.readouterr().out
 
 
 def test_angles_taut(m136_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -310,3 +311,37 @@ def test_unknown_is_a_value():
     free_word = decide_word(FREE2, words("abAB"), tiny)
     assert free_word.answer == "unknown"
     assert free_word.certificate["kind"] == "budget_exhausted"
+
+
+def test_quotient_replay_needs_permutation_images():
+    """A quotient separation replays only with one permutation of
+    range(degree) per generator: a forged "no" for a member of the double
+    coset is refused, and malformed images return False, not an error."""
+    h1, h2, w = [(-2,)], [(1, 2)], (1,)
+    assert decide_double_coset(FREE2, h1, h2, w).answer == "yes"
+    forged = {"kind": "quotient_separation", "degree": 3,
+              "images": [[0, 0, 0], [2, 0, 2]]}
+    assert not replay_double_coset_verdict(FREE2, h1, h2, w,
+                                           GroupVerdict("no", forged))
+    z2 = Presentation(2, [words("abAB")])
+    for images in ([[1, 0, 2]], [[1, 0, 2], [0, 1]]):
+        malformed = {"kind": "quotient_separation", "degree": 3,
+                     "images": images}
+        assert not replay_double_coset_verdict(
+            z2, (), (), words("a"), GroupVerdict("no", malformed))
+
+
+def test_quotient_search_memory_stays_small():
+    """The permutations of each degree are generated level by level, not
+    listed up front, so a degree the node budget cuts short costs little
+    memory."""
+    tracemalloc.start()
+    try:
+        result = quotient_search(
+            Z2, lambda n, images: None,
+            Budget(quotient_degree=9, quotient_nodes=50000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (None, False)
+    assert peak < 5 * 2 ** 20

@@ -3,23 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from essedge.linprog import solve_lp, feasible_point, LPError
+from essedge.linprog import solve_lp, LPError
 
 
 def test_basic_feasibility():
-    # x + y = 1, x, y >= 0
-    x = feasible_point([[1, 1]], [1])
-    assert x is not None and sum(x) == 1 and all(v >= 0 for v in x)
+    # x + y = 1, x, y >= 0; a zero objective asks for feasibility alone
+    status, x, _ = solve_lp([[1, 1]], [1], [0, 0])
+    assert status == "optimal" and sum(x) == 1 and all(v >= 0 for v in x)
 
 
 def test_infeasible():
-    assert feasible_point([[1, 1]], [-1]) is None
-    assert feasible_point([[1, 0], [1, 0]], [1, 2]) is None
+    assert solve_lp([[1, 1]], [-1], [0, 0])[0] == "infeasible"
+    assert solve_lp([[1, 0], [1, 0]], [1, 2], [0, 0])[0] == "infeasible"
 
 
 def test_redundant_rows():
-    x = feasible_point([[1, 1], [2, 2]], [1, 2])
-    assert x is not None
+    status, x, _ = solve_lp([[1, 1], [2, 2]], [1, 2], [0, 0])
+    assert status == "optimal" and x is not None
 
 
 def test_minimisation():
@@ -47,8 +47,8 @@ def test_random_feasibility_agrees_with_construction():
         a = [[Fraction(rng.randint(-4, 4)) for _ in range(n)]
              for _ in range(m)]
         b = [sum(row[j] * x0[j] for j in range(n)) for row in a]
-        x = feasible_point(a, b)
-        assert x is not None
+        status, x, _ = solve_lp(a, b, [0] * n)
+        assert status == "optimal"
         assert all(v >= 0 for v in x)
         for row, rhs in zip(a, b):
             assert sum(r * v for r, v in zip(row, x)) == rhs

@@ -1,10 +1,11 @@
 """
 Randomised property suites over small closed triangulations: partition and
 Euler invariants, Pachner round trips with homology preservation, exact LP
-witnesses, and certificate replay.
+witnesses, the one angle LP and the one abelianisation against reference
+computations, and certificate replay.
 """
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -16,8 +17,11 @@ from essedge.decide import (Budget, decide_word, decide_membership,
                             replay_membership_verdict,
                             replay_double_coset_verdict)
 from essedge.fundamental import presentation_spine
-from essedge.moves import pachner_2_3, pachner_3_2, MoveError
-from essedge.presentation import homology, word_from_string as words
+from essedge.linprog import solve_lp
+from essedge.moves import pachner_2_3, pachner_3_2, pillow_0_2, MoveError
+from essedge.presentation import (homology, word_image,
+                                  word_from_string as words)
+from essedge.snf import abelian_invariants, cokernel_reducer
 
 ALL_PERMS = [Perm4(p) for p in permutations(range(4))]
 
@@ -131,6 +135,63 @@ def test_lp_witnesses_have_zero_residual(corpus):
             outcome = solve_angle_lp(skeleton, mode)
             if outcome.witness is not None:
                 assert all(r == 0 for r in system.residual(outcome.witness))
+
+
+def _strict_reference(system):
+    """(status, optimum) of the strict LP solved on its own: maximise t
+    with every angle >= t."""
+    rowsum = [sum(row) for row in system.matrix]
+    status, _, value = solve_lp(
+        [row + [k, -k] for row, k in zip(system.matrix, rowsum)],
+        system.rhs, [0] * system.columns + [-1, 1])
+    if status != "optimal":
+        return "infeasible", None
+    return ("feasible" if -value > 0 else "infeasible"), -value
+
+
+def _pillow_outputs(m136):
+    skeleton = build_skeleton(m136)
+    for e in skeleton.edge_classes:
+        for i, j in combinations(range(e.degree), 2):
+            try:
+                yield pillow_0_2(m136, e.index, (i, j), skeleton)[0]
+            except MoveError:
+                continue
+
+
+def test_one_lp_and_one_abelianisation_match_references(corpus, m136, fig8,
+                                                         q8):
+    """Over the fixtures, the 123 pillow outputs of m136 and the seeded
+    corpus: semi feasibility is the feasibility of the angle equations,
+    strict status and optimum are the strict LP's own, homology matches
+    the Smith invariants of the relator matrix, and word images vanish on
+    the words the reference cokernel reduction sends to zero."""
+    pillows = list(_pillow_outputs(m136))
+    assert len(pillows) == 123
+    rng = random.Random(5)
+    for tri in [m136, fig8, q8] + pillows + corpus:
+        skeleton = build_skeleton(tri)
+        system = build_angle_system(skeleton)
+        semi = solve_angle_lp(skeleton, "semi")
+        status, _, _ = solve_lp(system.matrix, system.rhs,
+                                [0] * system.columns)
+        assert semi.feasible == (status == "optimal")
+        strict = solve_angle_lp(skeleton, "strict")
+        assert (strict.status, strict.optimum) == _strict_reference(system)
+
+        pres = presentation_spine(skeleton)
+        n = pres.generator_count
+        assert homology(pres) == abelian_invariants(pres.relator_matrix(), n)
+        reduce_vec = cokernel_reducer(pres.relator_matrix(), n)
+        probes = list(pres.relators) + [(g,) * k for g in range(1, n + 1)
+                                        for k in (1, 2, 3)]
+        probes += [(g, -h) for g, h in combinations(range(1, n + 1), 2)]
+        probes += [tuple(rng.choice([-1, 1]) * rng.randint(1, n)
+                         for _ in range(rng.randint(1, 8)))
+                   for _ in range(8 if n else 0)]
+        for w in probes:
+            assert (any(word_image(pres, w))
+                    == any(reduce_vec(pres.exponent_vector(w))))
 
 
 def test_group_certificates_replay(corpus):
