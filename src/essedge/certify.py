@@ -127,11 +127,11 @@ def _rationalize(value, max_denominator=10 ** 6):
 
 
 def _exact_shapes(spine, shapes, log):
-    """An exact verified geometric shape solution (with exact
-    completeness), from the given shapes or by Newton solving and
-    rationalising.  A negatively oriented tetrahedron could overlap its
-    neighbours, which the flat-cluster scan assumes away, so such a
-    solution is skipped."""
+    """The verify_shapes report of an exact verified geometric shape
+    solution (with exact completeness), from the given shapes or by Newton
+    solving and rationalising.  A negatively oriented tetrahedron could
+    overlap its neighbours, which the flat-cluster scan assumes away, so
+    such a solution is skipped."""
     if shapes is not None:
         shapes = as_shapes(shapes, spine.skeleton)
         if not shapes.exact:
@@ -165,7 +165,7 @@ def _exact_shapes(spine, shapes, log):
         return None
     log.append("geometry: exact complete solution verified "
                "(flat set %s)" % report.flat)
-    return candidate
+    return report
 
 
 class _Analysis:
@@ -192,17 +192,17 @@ class _Analysis:
         return self.spine.presentation
 
     @cached_property
-    def exact_shapes(self):
-        """The exact verified geometric shape solution, or None."""
+    def shape_report(self):
+        """The report of the exact verified geometric shape solution, or
+        None."""
         return _exact_shapes(self.spine, self.shapes, self.log)
 
     @cached_property
     def development(self):
         """The flat-cluster scan of the exact shapes, or None without
         them."""
-        exact = self.exact_shapes
-        return None if exact is None else develop_and_scan(self.skeleton,
-                                                           exact)
+        report = self.shape_report
+        return None if report is None else develop_and_scan(report)
 
     def uses(self, method):
         """Whether a tier runs.  A closed triangulation has no angle
@@ -316,7 +316,7 @@ def _edge_pass(a):
     # Under a verified shape solution every edge is essential: each
     # tetrahedron develops with its shapes, none of them 0, 1 or oo, as
     # cross-ratios, so the endpoints of every lift of an edge are distinct.
-    if a.uses("geometry") and a.exact_shapes is not None:
+    if a.uses("geometry") and a.shape_report is not None:
         return [EdgeVerdict(e, "yes", a.once("geometric_endpoints"))
                 for e in edges]
     verdicts = []

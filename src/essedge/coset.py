@@ -62,10 +62,7 @@ class CosetTable:
             for c in range(n):
                 if self.apply(c, rel) != c:
                     return False
-        for h in self.subgroup:
-            if self.apply(0, h) != 0:
-                return False
-        return True
+        return n > 0 and all(self.apply(0, h) == 0 for h in self.subgroup)
 
     def coset_words(self):
         """A word reaching each coset from coset 0, by breadth-first

@@ -55,19 +55,7 @@ class Budget:
         for key in kwargs:
             if key not in self.DEFAULTS:
                 raise ValueError("unknown budget key %r" % key)
-        self._values = dict(self.DEFAULTS)
-        self._values.update(kwargs)
-
-    def __getattr__(self, key):
-        # private and dunder names are never budget keys; looking them up
-        # in _values would recurse while copy or pickle builds an instance
-        # that has no _values yet
-        if key.startswith("_"):
-            raise AttributeError(key)
-        try:
-            return self._values[key]
-        except KeyError:
-            raise AttributeError(key)
+        vars(self).update(self.DEFAULTS, **kwargs)
 
     @classmethod
     def parse(cls, spec):
@@ -82,7 +70,7 @@ class Budget:
         return cls(**kwargs)
 
     def to_json(self):
-        return dict(self._values)
+        return {key: getattr(self, key) for key in self.DEFAULTS}
 
 
 class GroupVerdict:
@@ -248,6 +236,8 @@ def check_rewrite_step(presentation, before, after):
 def replay_rewrite_trace(presentation, word, trace):
     """Replay a triviality certificate: the trace starts at the word's
     canonical cyclic form, every step is a legal move, and it ends empty."""
+    if not (isinstance(trace, list) and all(_ints(w, bool) for w in trace)):
+        return False
     if not trace:
         return not cyclic_canonical(word)
     trace = [tuple(w) for w in trace]
@@ -415,7 +405,9 @@ def abelian_separation(presentation, h1_words, h2_words, word):
 
 def _product(words, factors):
     """The freely reduced product of the words named by signed 1-based
-    factors."""
+    factors, or None unless each factor is a nonzero int naming a word."""
+    if not _ints(factors, lambda f: 0 < abs(f) <= len(words)):
+        return None
     out = ()
     for f in factors:
         h = words[abs(f) - 1]
@@ -522,10 +514,19 @@ def _double_coset_separation(n, images, h1_words, h2_words, word):
 
 # ---- certificate replay ----
 
+def _ints(value, ok=lambda x: True):
+    """Whether a certificate value is a list of ints, each satisfying ok."""
+    return (isinstance(value, (list, tuple))
+            and all(type(x) is int and ok(x) for x in value))
+
+
 def _rebuild_table(presentation, subgroup_words, cert):
     from .coset import CosetTable
-    data = cert["table"]
-    rows = [tuple(r) for r in data["table"]]
+    data = cert.get("table")
+    rows = data.get("table") if isinstance(data, dict) else None
+    if not (isinstance(rows, list) and all(_ints(r) for r in rows)):
+        return None
+    rows = [tuple(r) for r in rows]
     table = CosetTable(presentation.generator_count, presentation.relators,
                        [tuple(h) for h in subgroup_words], rows)
     return table if table.verify() else None
@@ -559,13 +560,14 @@ def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
         return verdict.answer == "no" and abelian_separation(
             presentation, h1_words, h2_words, word) is not None
     if kind == "factorization":
-        return verdict.answer == "yes" and concat(
-            _product(h2_words, cert["h2_factors"]),
-            _product(h1_words, cert["h1_factors"])) == word
+        p2 = _product(h2_words, cert.get("h2_factors"))
+        p1 = _product(h1_words, cert.get("h1_factors"))
+        return (verdict.answer == "yes" and None not in (p2, p1)
+                and concat(p2, p1) == word)
     if kind == "rewriting_trace":
         # a trivial word lies in every double coset
         return verdict.answer == "yes" and replay_rewrite_trace(
-            presentation, word, cert["trace"])
+            presentation, word, cert.get("trace"))
     if kind == "coset_table":
         subgroup, others, w = h1_words, h2_words, word
         if cert.get("swapped"):
@@ -577,9 +579,10 @@ def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
             cap = cert.get("max_cosets")
             table = (coset_enumeration(presentation, subgroup, max_cosets=cap)
                      if isinstance(cap, int) else None)
-            if table is None or table.to_json() != cert["table"]:
+            x = _product(others, cert.get("h2_inverse_factors"))
+            if (table is None or x is None
+                    or table.to_json() != cert.get("table")):
                 return False
-            x = _product(others, cert["h2_inverse_factors"])
             return table.apply(0, concat(x, w)) == 0
         table = _rebuild_table(presentation, subgroup, cert)
         return table is not None and not any(
@@ -589,9 +592,8 @@ def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
         n, images = cert.get("degree"), cert.get("images")
         if not (isinstance(n, int) and n >= 1 and isinstance(images, list)
                 and len(images) == presentation.generator_count
-                and all(isinstance(p, (list, tuple))
-                        and all(type(x) is int for x in p)
-                        and sorted(p) == list(range(n)) for p in images)):
+                and all(_ints(p) and sorted(p) == list(range(n))
+                        for p in images)):
             return False
         images = [tuple(p) for p in images]
         identity = tuple(range(n))

@@ -23,21 +23,22 @@ a complete coincidence scan.
 A flat shape is real, so a flat cluster develops on the rational
 projective line: a point is a primitive integer pair (x : y) with y > 0,
 or oo = (1 : 0), and a Moebius map is a primitive 2x2 integer matrix.
-The real slot values come from the shape assignment's slot table, which
-shapes.py derives once; the scan computes none of its own.
+The scan reads the verified solution from its verify_shapes report and
+the real slot values from its slot table, which shapes.py derives once:
+it checks no edge equation and computes no slot value of its own.
 """
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .shapes import as_shapes, verify_shapes, ShapeError
-from .skeleton import as_skeleton
+from .shapes import ShapeError
 from .triangulation import TET_EDGES, FACE_VERTICES
 
 # vertex orderings realising the three slot shapes as cross-ratios
 _SLOT_ORDER = ((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
 
 INFINITY = (1, 0)
+CLUSTER_CAP = 200
 
 
 def point(value):
@@ -242,22 +243,21 @@ def _check_cross_ratios(slots, inst):
     return inst
 
 
-def develop_and_scan(tri_or_skeleton, shapes, cluster_cap=200):
+def develop_and_scan(report):
     """
-    The scan of every flat cluster of exact shapes.  Raises ShapeError
-    unless the shapes are exact and pass verify_shapes, or if a developed
-    instance's cross-ratios differ from its shapes.
+    The scan of every flat cluster of the shapes of a verify_shapes
+    report.  Raises ShapeError unless the shapes are exact and the report
+    passed, or if a developed instance's cross-ratios differ from its
+    shapes.
     """
-    skeleton = as_skeleton(tri_or_skeleton)
-    tri = skeleton.triangulation
-    shapes = as_shapes(shapes, skeleton)
-    if not shapes.exact:
+    if not report.exact:
         raise ShapeError("the development needs exact shapes")
-    if not verify_shapes(skeleton, shapes).passed:
+    if not report.passed:
         raise ShapeError("shape assignment fails the edge equations")
-    slots = _flat_slots(shapes)
-    return DevelopReport([_scan_cluster(tri, skeleton, slots, cluster,
-                                        cluster_cap)
+    skeleton = report.skeleton
+    tri = skeleton.triangulation
+    slots = _flat_slots(report.shapes)
+    return DevelopReport([_scan_cluster(tri, skeleton, slots, cluster)
                           for cluster in _flat_clusters(tri, slots)])
 
 
@@ -286,7 +286,7 @@ def _intra_faces(tri, cluster, t):
             if tri.gluing(t, f) is not None and tri.gluing(t, f)[0] in flat]
 
 
-def _scan_cluster(tri, skeleton, slots, cluster, cap):
+def _scan_cluster(tri, skeleton, slots, cluster):
     """
     Scan one flat cluster.  A linear cluster (every member with exactly
     two intra-cluster gluings) is first walked once around and settled by
@@ -299,7 +299,7 @@ def _scan_cluster(tri, skeleton, slots, cluster, cap):
     """
     linear = all(len(_intra_faces(tri, cluster, t)) == 2 for t in cluster)
     if linear:
-        walk = _scan_linear_cluster(tri, skeleton, slots, cluster, cap)
+        walk = _scan_linear_cluster(tri, skeleton, slots, cluster)
         if walk.conclusive:
             return walk
     base = _base_instance(slots, cluster[0])
@@ -307,7 +307,7 @@ def _scan_cluster(tri, skeleton, slots, cluster, cap):
     order = [base]
     frontier = [base]
     finite = False
-    while frontier and len(seen) <= cap:
+    while frontier and len(seen) <= CLUSTER_CAP:
         nxt = []
         for inst in frontier:
             for face in _intra_faces(tri, cluster, inst.tet):
@@ -328,17 +328,17 @@ def _scan_cluster(tri, skeleton, slots, cluster, cap):
         return walk
     return ClusterScan(cluster, False,
                        "development cap %d exceeded (branching cluster)"
-                       % cap, instance_count=len(seen))
+                       % CLUSTER_CAP, instance_count=len(seen))
 
 
-def _scan_linear_cluster(tri, skeleton, slots, cluster, cap):
+def _scan_linear_cluster(tri, skeleton, slots, cluster):
     base_tet = cluster[0]
     base = _base_instance(slots, base_tet)
     line = [base]
     prev_key = None
     inst = base
     translation = None
-    while len(line) <= cap:
+    while len(line) <= CLUSTER_CAP:
         faces = _intra_faces(tri, cluster, inst.tet)
         moved = None
         for face in faces:
@@ -358,7 +358,7 @@ def _scan_linear_cluster(tri, skeleton, slots, cluster, cap):
         inst = moved
     if translation is None:
         return ClusterScan(cluster, False,
-                           "no period found within %d steps" % cap,
+                           "no period found within %d steps" % CLUSTER_CAP,
                            instance_count=len(line))
     if not translation.is_parabolic():
         return ClusterScan(cluster, False,

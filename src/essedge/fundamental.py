@@ -15,7 +15,7 @@ essential / parallel edge tests are all words in the same generators.
 """
 from .presentation import Presentation, free_reduce, inverse_word, concat
 from .skeleton import _UnionFind, as_skeleton
-from .snf import cokernel_reducer
+from .snf import cokernel
 
 
 def presentation_closed(tri_or_skeleton):
@@ -214,25 +214,16 @@ class SpineData:
                     break
             rows.append(row)
 
-        # the lex-least pair of cotree cycles generating H1 = Z^2: under one
-        # reduction map of Z^c modulo the rows, the unit vectors' images
-        # have exactly two nonzero coordinates, both free, and the pair's
-        # images have determinant +-1.  A torsion coordinate would reduce
-        # the sum of the negated unit vectors to a residue >= 0, not to
-        # minus the sum of the images' residues.
+        # the lex-least pair of cotree cycles generating H1 = Z^2: the
+        # cokernel of the rows must have moduli (0, 0), and the pair's
+        # columns in its two coordinates determinant +-1
         c = len(cotree)
-        reduce_vec = cokernel_reducer(rows, c)
-        images = [reduce_vec([int(k == i) for k in range(c)])
-                  for i in range(c)]
-        free = [x for x in range(c) if any(im[x] for im in images)]
+        coordinates, moduli = cokernel(rows, c)
         chosen = None
-        if len(free) == 2 and reduce_vec([-1] * c) == tuple(
-                -sum(column) for column in zip(*images)):
-            p, q = free
+        if moduli == (0, 0):
+            x, y = coordinates
             chosen = next(((i, j) for i in range(c) for j in range(i + 1, c)
-                           if abs(images[i][p] * images[j][q]
-                                  - images[i][q] * images[j][p]) == 1),
-                          None)
+                           if abs(x[i] * y[j] - x[j] * y[i]) == 1), None)
         if chosen is None:
             raise ValueError("no pair of cotree cycles generates the link "
                              "homology (vertex %d)" % vertex)

@@ -1,11 +1,13 @@
 """
 Words and finite presentations.  A word is a tuple of nonzero ints, letter
 +-(g+1) standing for generator g or its inverse.  Free reduction is the
-only normalisation ever applied implicitly.
+only normalisation ever applied implicitly.  A presentation's
+abelianisation is `snf.cokernel` of its relator matrix, the one SNF
+cokernel routine, which the peripheral choice of a cusp also reads.
 """
 from functools import cached_property
 
-from .snf import smith_normal_form
+from .snf import cokernel
 
 
 def free_reduce(letters):
@@ -82,17 +84,9 @@ class Presentation:
 
     @cached_property
     def abelianization(self):
-        """H1 in coordinates, from one Smith normal form U Mt V = D of the
-        transposed relator matrix: (rows of U, moduli d), d = 0 for a free
-        summand.  v lies in the relators' span exactly when each (U v)_i
-        is a multiple of d_i, so coordinates of modulus 1 are dropped."""
-        n = self.generator_count
-        vectors = self.relator_matrix()
-        d, U, _ = smith_normal_form([[v[g] for v in vectors]
-                                     for g in range(n)])
-        d += [0] * (n - len(d))
-        kept = [i for i in range(n) if d[i] != 1]
-        return tuple(tuple(U[i]) for i in kept), tuple(d[i] for i in kept)
+        """H1 in coordinates: the cokernel (rows of U, moduli d) of the
+        relator matrix."""
+        return cokernel(self.relator_matrix(), self.generator_count)
 
     def abelian_coordinates(self, word):
         """The word in the coordinates of H1, not reduced by the moduli."""

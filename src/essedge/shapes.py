@@ -12,7 +12,9 @@ alone applies the convention, and a ShapeAssignment derives its table of
 3n slot values with it on first use.  The edge rows are the skeleton's
 edge-slot incidence, which the angle equations share.  `_row_product`
 evaluates an edge or cusp equation on the slot table, and `as_shapes`
-coerces and length-checks every shape input.
+coerces and length-checks every shape input.  `verify_shapes` alone checks
+the edge equations; its ShapeReport, which carries the skeleton and the
+shapes, is what the flat-cluster scan and `shapes_to_angles` read.
 """
 import cmath
 import math
@@ -180,11 +182,13 @@ def build_gluing_system(tri_or_skeleton):
 
 
 class ShapeReport:
-    def __init__(self, edge_products, edge_argument_sums, flat, exact):
+    def __init__(self, skeleton, shapes, edge_products, edge_argument_sums):
+        self.skeleton = skeleton
+        self.shapes = shapes
         self.edge_products = edge_products
         self.edge_argument_sums = edge_argument_sums
-        self.flat = flat
-        self.exact = exact
+        self.flat = shapes.flat_set()
+        self.exact = shapes.exact
 
     @property
     def products_ok(self):
@@ -192,8 +196,8 @@ class ShapeReport:
             return all(p == 1 for p in self.edge_products)
         return all(abs(p - 1) < 1e-9 for p in self.edge_products)
 
-    def arguments_ok(self, tol=1e-9):
-        return all(abs(s - 2.0) < tol / math.pi
+    def arguments_ok(self):
+        return all(abs(s - 2.0) < 1e-9 / math.pi
                    for s in self.edge_argument_sums)
 
     @property
@@ -238,10 +242,10 @@ def verify_shapes(tri_or_skeleton, shapes):
     skeleton = as_skeleton(tri_or_skeleton)
     shapes = as_shapes(shapes, skeleton)
     rows = skeleton.edge_rows
-    return ShapeReport([_row_product(row, shapes) for row in rows],
+    return ShapeReport(skeleton, shapes,
+                       [_row_product(row, shapes) for row in rows],
                        [sum(exp * arg for exp, arg
-                            in zip(row, shapes.arguments)) for row in rows],
-                       shapes.flat_set(), shapes.exact)
+                            in zip(row, shapes.arguments)) for row in rows])
 
 
 def completeness_products(tri_or_skeleton, shapes):
@@ -252,18 +256,16 @@ def completeness_products(tri_or_skeleton, shapes):
     return [_row_product(row, shapes) for row in system.cusp_rows]
 
 
-def shapes_to_angles(tri_or_skeleton, shapes, tol=1e-9):
+def shapes_to_angles(report):
     """
-    Slot arguments of a verified shape solution, in pi-units.  With all
-    imaginary parts positive this is a strict angle structure; flat
-    tetrahedra contribute 0/1 entries.  Raises when verify_shapes fails.
+    Slot arguments of a verified shape solution, in pi-units, read from
+    its verify_shapes report.  With all imaginary parts positive this is a
+    strict angle structure; flat tetrahedra contribute 0/1 entries.
+    Raises unless the report passed.
     """
-    skeleton = as_skeleton(tri_or_skeleton)
-    shapes = as_shapes(shapes, skeleton)
-    report = verify_shapes(skeleton, shapes)
-    if not report.products_ok or not report.arguments_ok(tol):
+    if not report.passed:
         raise ShapeError("shape assignment fails the edge equations")
-    return list(shapes.arguments)
+    return list(report.shapes.arguments)
 
 
 def _log_residual(system, zs):

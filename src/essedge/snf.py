@@ -189,6 +189,18 @@ def in_column_span(columns, target):
     return not any(t)
 
 
+def cokernel(rel_matrix, ngens):
+    """Z^ngens modulo the rows of rel_matrix, from one Smith normal form
+    U Mt V = D of the transposed matrix: (rows of U, moduli d), d = 0 for a
+    free summand.  v lies in the row space exactly when each (U v)_i is a
+    multiple of d_i, so coordinates of modulus 1 are dropped."""
+    d, U, _ = smith_normal_form([[r[g] for r in rel_matrix]
+                                 for g in range(ngens)])
+    d += [0] * (ngens - len(d))
+    kept = [i for i in range(ngens) if d[i] != 1]
+    return tuple(tuple(U[i]) for i in kept), tuple(d[i] for i in kept)
+
+
 def cokernel_reducer(rel_matrix, ngens):
     """
     A reduction map for Z^ngens / rowspace(rel_matrix): takes an exponent

@@ -134,6 +134,7 @@ def test_each_fact_computed_once(request, monkeypatch, m136_shapes, name,
     calls = Counter()
     for fn in (essedge.fundamental.presentation_closed,
                essedge.shapes.solve_shapes_newton,
+               essedge.shapes.verify_shapes,
                essedge.develop.develop_and_scan):
         _count_calls(monkeypatch, fn, calls)
     spine_init = essedge.fundamental.SpineData.__init__

@@ -192,6 +192,32 @@ def test_forged_coset_table_does_not_replay(q8_skeleton):
     assert not replay_word_verdict(q8, (1,), GroupVerdict("no", forged))
 
 
+def _empty_table_cert(table):
+    return {"kind": "coset_table", "swapped": False, "orbit_size": 1,
+            "table": table}
+
+
+@pytest.mark.parametrize("h1, w, answer, cert", [
+    ([], (1,), "no",
+     _empty_table_cert({"cosets": 0, "generators": 2, "table": []})),
+    ([], (1,), "no", _empty_table_cert(
+        {"cosets": 1, "generators": 2, "table": [["0", "0", "0", "0"]]})),
+    ([], (1,), "no", {"kind": "coset_table", "swapped": False}),
+    ([(1,)], (1,), "yes",
+     {"kind": "factorization", "h2_factors": [], "h1_factors": [5]}),
+    ([], (1,), "yes",
+     {"kind": "factorization", "h2_factors": [], "h1_factors": [0]}),
+    ([(1,), (2,)], (-2,), "yes",
+     {"kind": "factorization", "h2_factors": [], "h1_factors": [0]}),
+    ([], (1,), "yes", {"kind": "rewriting_trace"}),
+])
+def test_malformed_certificates_do_not_replay(h1, w, answer, cert):
+    """A certificate whose table, factors or trace is malformed replays as
+    False: no error, and factor 0 names no subgroup generator."""
+    assert not replay_double_coset_verdict(FREE2, h1, (), w,
+                                           GroupVerdict(answer, cert))
+
+
 def test_swapped_coset_attempt():
     """With H1 trivial in F2 no table for H1 completes, so the table for
     H2, the words of even length, decides the inverse question."""

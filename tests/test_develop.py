@@ -16,7 +16,7 @@ from essedge.gaussian import parse_gaussian
 
 
 def test_m136_flat_cluster_scan(m136_skeleton, m136_shapes):
-    report = develop_and_scan(m136_skeleton, m136_shapes)
+    report = develop_and_scan(verify_shapes(m136_skeleton, m136_shapes))
     assert report.conclusive_for_flat_clusters
     assert len(report.clusters) == 1
     cluster = report.clusters[0]
@@ -40,16 +40,18 @@ def test_linear_cluster_settled_without_breadth_first_search(
         return develop_across(*args)
 
     monkeypatch.setattr(essedge.develop, "_develop_across", counted)
-    report = develop_and_scan(m136_skeleton, m136_shapes)
+    report = develop_and_scan(verify_shapes(m136_skeleton, m136_shapes))
     assert report.clusters[0].conclusive
     assert len(calls) < 200
 
 
-def test_linear_cluster_walk_too_short(m136_skeleton, m136_shapes):
+def test_linear_cluster_walk_too_short(m136_skeleton, m136_shapes,
+                                       monkeypatch):
     """With a cap below the period the walk is inconclusive, the fallback
     breadth-first development is not finite either, and the walk's reason
     stands."""
-    report = develop_and_scan(m136_skeleton, m136_shapes, cluster_cap=1)
+    monkeypatch.setattr(essedge.develop, "CLUSTER_CAP", 1)
+    report = develop_and_scan(verify_shapes(m136_skeleton, m136_shapes))
     cluster = report.clusters[0]
     assert cluster.tets == (3, 5)
     assert not cluster.conclusive
@@ -101,14 +103,14 @@ def test_every_developed_instance_is_checked(m136_skeleton, m136_shapes,
     monkeypatch.setattr(essedge.develop, "DevelopedTet", Counted)
     monkeypatch.setattr(essedge.develop, "_check_cross_ratios",
                         counted_check)
-    develop_and_scan(m136_skeleton, m136_shapes)
+    develop_and_scan(verify_shapes(m136_skeleton, m136_shapes))
     assert built and checked == built
 
 
 def test_scan_is_frame_independent(m136_skeleton, m136_shapes):
     """Coincidence patterns are Moebius-invariant, so the translated
     cluster translation stays parabolic with its fixed point moved."""
-    report = develop_and_scan(m136_skeleton, m136_shapes)
+    report = develop_and_scan(verify_shapes(m136_skeleton, m136_shapes))
     translation = report.clusters[0].translation
     conj = Moebius(1, 2, 3, 7)
     moved = conj.compose(translation).compose(conj.inverse())
@@ -123,13 +125,13 @@ def test_develop_rejects_float_shapes(fig8_skeleton):
     assert verify_shapes(fig8_skeleton, solution).passed
     assert not solution.exact
     with pytest.raises(ShapeError, match="exact"):
-        develop_and_scan(fig8_skeleton, solution)
+        develop_and_scan(verify_shapes(fig8_skeleton, solution))
 
 
 def test_develop_rejects_unverified(m136_skeleton):
     with pytest.raises(ShapeError):
-        develop_and_scan(m136_skeleton,
-                         ShapeAssignment([parse_gaussian("i")] * 7))
+        develop_and_scan(verify_shapes(
+            m136_skeleton, ShapeAssignment([parse_gaussian("i")] * 7)))
 
 
 def test_branching_pillow_scans(m136, m136_shapes):
@@ -139,7 +141,7 @@ def test_branching_pillow_scans(m136, m136_shapes):
     extended = ShapeAssignment(list(m136_shapes.shapes) + [-1, -1])
     for edge, sites in ((3, (2, 3)), (6, (1, 2))):
         tri, _record = pillow_0_2(m136, edge, sites)
-        report = develop_and_scan(tri, extended)
+        report = develop_and_scan(verify_shapes(tri, extended))
         assert not report.conclusive_for_flat_clusters
         [cluster] = report.clusters
         assert cluster.tets == (3, 5, 7, 8)

@@ -167,13 +167,12 @@ def test_peripheral_needs_link_homology_free_of_rank_two(
     cotree cycle, which generates a summand of it, leaves Z (rank 1) or
     Z + Z/2 (torsion), and both are rejected."""
     import essedge.fundamental
-    reducer = essedge.fundamental.cokernel_reducer
+    cokernel = essedge.fundamental.cokernel
 
     def with_extra_row(rows, c):
-        return reducer(rows + [list(extra) + [0] * (c - 1)], c)
+        return cokernel(rows + [list(extra) + [0] * (c - 1)], c)
 
     assert SpineData(m136_skeleton).peripheral(0).words
-    monkeypatch.setattr(essedge.fundamental, "cokernel_reducer",
-                        with_extra_row)
+    monkeypatch.setattr(essedge.fundamental, "cokernel", with_extra_row)
     with pytest.raises(ValueError):
         SpineData(m136_skeleton).peripheral(0)
