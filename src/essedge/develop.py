@@ -10,15 +10,15 @@ Parallel edges need more.  For a geometric solution (no shape with
 negative imaginary part) a tetrahedron with positive volume meets its
 neighbours only along faces, so a parallel pair of edges forces a walk
 between the two lifts through flat tetrahedra.  The scan therefore
-develops each connected cluster of flat tetrahedra separately: it places
-one member at (0, 1, oo, z), crosses face gluings by exact cross-ratio,
-and checks every instance it builds against the shapes.  A linear
-cluster is first walked once around and settled by its holonomy: a
-parabolic period means the development closes up under that translation,
-and its lifts are scanned exactly modulo it.  Breadth-first development
-runs only for branching clusters, or when that walk is inconclusive, and
-is conclusive when the development is finite.  A conclusive cluster has
-a complete coincidence scan.
+develops each connected cluster of flat tetrahedra once, by exact
+cross-ratio: the lowest member at (0, 1, oo, z), the others breadth-first
+along a spanning tree of the intra-cluster gluings.  Every other gluing
+is crossed once and gives one holonomy generator, and the development is
+the orbit of the tree instances under the group these make.  Trivial
+holonomy leaves the tree instances, whose edge lifts are compared by
+endpoint set; parabolic generators with one fixed point make one
+translation, and the lifts are compared modulo it; any other holonomy is
+inconclusive.  Every instance is checked against its shapes.
 
 A flat shape is real, so a flat cluster develops on the rational
 projective line: a point is a primitive integer pair (x : y) with y > 0,
@@ -38,7 +38,6 @@ from .triangulation import TET_EDGES, FACE_VERTICES
 _SLOT_ORDER = ((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
 
 INFINITY = (1, 0)
-CLUSTER_CAP = 200
 
 
 def point(value):
@@ -165,22 +164,18 @@ class DevelopedTet:
         self.tet = tet
         self.positions = tuple(positions)
 
-    def key(self):
-        return (self.tet, self.positions)
-
     def __repr__(self):
         return "DevelopedTet(%d, %s)" % (self.tet, self.positions)
 
 
 class ClusterScan:
     def __init__(self, tets, conclusive, reason, translation=None,
-                 coincidences=(), instance_count=0):
+                 coincidences=()):
         self.tets = tuple(sorted(tets))
         self.conclusive = conclusive
         self.reason = reason
         self.translation = translation
         self.coincidences = list(coincidences)
-        self.instance_count = instance_count
 
     def __repr__(self):
         return "ClusterScan(tets=%s, conclusive=%s, %s)" % (
@@ -246,9 +241,9 @@ def _check_cross_ratios(slots, inst):
 def develop_and_scan(report):
     """
     The scan of every flat cluster of the shapes of a verify_shapes
-    report.  Raises ShapeError unless the shapes are exact and the report
-    passed, or if a developed instance's cross-ratios differ from its
-    shapes.
+    report, each from its one development.  Raises ShapeError unless the
+    shapes are exact and the report passed, or if a developed instance's
+    cross-ratios differ from its shapes.
     """
     if not report.exact:
         raise ShapeError("the development needs exact shapes")
@@ -280,97 +275,79 @@ def _flat_clusters(tri, flat):
     return clusters
 
 
-def _intra_faces(tri, cluster, t):
-    flat = set(cluster)
-    return [f for f in range(4)
-            if tri.gluing(t, f) is not None and tri.gluing(t, f)[0] in flat]
-
-
 def _scan_cluster(tri, skeleton, slots, cluster):
     """
-    Scan one flat cluster.  A linear cluster (every member with exactly
-    two intra-cluster gluings) is first walked once around and settled by
-    its holonomy: a parabolic period makes the development infinite, and
-    it is scanned exactly up to that translation.  Breadth-first
-    development runs only for branching clusters, or when the walk is
-    inconclusive (an identity or non-parabolic period, or none within the
-    cap); a finite development is fully scanned and anything else is
+    Scan one flat cluster from its one development: the tree instances,
+    developed breadth-first from the lowest member, and one holonomy
+    generator for each other intra-cluster gluing, crossed once.  The
+    lifts of the tree instances are compared by endpoint set under
+    trivial holonomy and modulo the translation under cyclic parabolic
+    holonomy; any other holonomy is inconclusive.
+    """
+    members = set(cluster)
+    tree = {cluster[0]: _base_instance(slots, cluster[0])}
+    order = [tree[cluster[0]]]
+    crossed = set()
+    generators = []
+    for inst in order:
+        for face in range(4):
+            entry = tri.gluing(inst.tet, face)
+            if (entry is None or entry[0] not in members
+                    or (inst.tet, face) in crossed):
+                continue
+            other, sigma = entry
+            crossed.add((other, sigma(face)))
+            new = _develop_across(tri, slots, inst, face)
+            if other not in tree:
+                tree[other] = new
+                order.append(new)
+                continue
+            g = moebius_between(tree[other].positions, new.positions)
+            if g is None:
+                raise ShapeError("no Moebius map between two developed "
+                                 "instances of tetrahedron %d" % other)
+            generators.append(g)
+    conclusive, translation, reason = _holonomy(generators)
+    if not conclusive:
+        return ClusterScan(cluster, False, reason)
+    lifts = _edge_lifts(skeleton, order)
+    if translation is None:
+        pairs = _coincidences(lifts, lambda p, q: frozenset((p, q)))
+    else:
+        pairs = _periodic_coincidences(lifts, translation)
+    return ClusterScan(cluster, True, reason, translation=translation,
+                       coincidences=pairs)
+
+
+def _holonomy(generators):
+    """
+    (conclusive, translation, reason) for the group the holonomy
+    generators make.  The identity group has no translation.  Parabolic
+    generators with one common fixed point are translations z -> z + c_i
+    in its frame, and a finitely generated subgroup of Q is cyclic, so
+    they make the translation by the gcd of the c_i.  Any other group is
     inconclusive.
     """
-    linear = all(len(_intra_faces(tri, cluster, t)) == 2 for t in cluster)
-    if linear:
-        walk = _scan_linear_cluster(tri, skeleton, slots, cluster)
-        if walk.conclusive:
-            return walk
-    base = _base_instance(slots, cluster[0])
-    seen = {base.key(): base}
-    order = [base]
-    frontier = [base]
-    finite = False
-    while frontier and len(seen) <= CLUSTER_CAP:
-        nxt = []
-        for inst in frontier:
-            for face in _intra_faces(tri, cluster, inst.tet):
-                new = _develop_across(tri, slots, inst, face)
-                if new.key() not in seen:
-                    seen[new.key()] = new
-                    order.append(new)
-                    nxt.append(new)
-        frontier = nxt
-        if not frontier:
-            finite = True
-    if finite:
-        pairs = _coincidences(_edge_lifts(skeleton, order),
-                              lambda p, q: frozenset((p, q)))
-        return ClusterScan(cluster, True, "finite development",
-                           coincidences=pairs, instance_count=len(order))
-    if linear:
-        return walk
-    return ClusterScan(cluster, False,
-                       "development cap %d exceeded (branching cluster)"
-                       % CLUSTER_CAP, instance_count=len(seen))
-
-
-def _scan_linear_cluster(tri, skeleton, slots, cluster):
-    base_tet = cluster[0]
-    base = _base_instance(slots, base_tet)
-    line = [base]
-    prev_key = None
-    inst = base
-    translation = None
-    while len(line) <= CLUSTER_CAP:
-        faces = _intra_faces(tri, cluster, inst.tet)
-        moved = None
-        for face in faces:
-            new = _develop_across(tri, slots, inst, face)
-            if new.key() != prev_key:
-                moved = new
-                break
-        if moved is None:
-            break
-        if moved.tet == base_tet:
-            g = moebius_between(base.positions, moved.positions)
-            if g is not None and not g.is_identity():
-                translation = g
-                break
-        prev_key = inst.key()
-        line.append(moved)
-        inst = moved
-    if translation is None:
-        return ClusterScan(cluster, False,
-                           "no period found within %d steps" % CLUSTER_CAP,
-                           instance_count=len(line))
-    if not translation.is_parabolic():
-        return ClusterScan(cluster, False,
-                           "period map is not parabolic",
-                           translation=translation,
-                           instance_count=len(line))
-    pairs = _periodic_coincidences(_edge_lifts(skeleton, line),
-                                   translation)
-    return ClusterScan(cluster, True,
-                       "closes up under a parabolic translation",
-                       translation=translation, coincidences=pairs,
-                       instance_count=len(line))
+    moving = [g for g in generators if not g.is_identity()]
+    if not moving:
+        return True, None, "trivial holonomy"
+    for g in moving:
+        if not g.is_parabolic():
+            return False, None, "holonomy generator %r is not parabolic" % g
+    w, step = moving[0].translation_frame()
+    for g in moving:
+        # parabolic, so a translation exactly when it fixes oo
+        h = w.compose(g).compose(w.inverse())
+        if h.c:
+            return False, None, ("parabolic holonomy generators with "
+                                 "different fixed points")
+        c = Fraction(h.b, h.a)
+        step = Fraction(gcd(step.numerator * c.denominator,
+                            c.numerator * step.denominator),
+                        step.denominator * c.denominator)
+    translation = w.inverse().compose(Moebius(
+        step.denominator, step.numerator, 0, step.denominator)).compose(w)
+    return True, translation, "cyclic parabolic holonomy"
 
 
 def _coincidences(lifts, key):

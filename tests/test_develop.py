@@ -1,18 +1,21 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import essedge.develop
 from essedge.develop import (INFINITY, DevelopedTet, Moebius, _SLOT_ORDER,
-                             _base_instance, _develop_across, _flat_slots,
-                             _intra_faces, _periodic_coincidences, _primitive,
-                             cross_ratio, develop_and_scan, fourth_vertex,
-                             moebius_between, point)
+                             _base_instance, _develop_across, _flat_clusters,
+                             _flat_slots, _holonomy, _periodic_coincidences,
+                             _primitive, cross_ratio, develop_and_scan,
+                             fourth_vertex, moebius_between, point)
 from essedge.moves import pillow_0_2
 from essedge.shapes import (solve_shapes_newton, ShapeAssignment, ShapeError,
                             verify_shapes)
 from essedge.gaussian import parse_gaussian
+from essedge.triangulation import TET_EDGES
+from record_verdicts import relabelled
 
 
 def test_m136_flat_cluster_scan(m136_skeleton, m136_shapes):
@@ -27,38 +30,42 @@ def test_m136_flat_cluster_scan(m136_skeleton, m136_shapes):
     assert cluster.translation.is_parabolic()
 
 
+def _gluing(tri, t, face):
+    """A gluing, as its two sides (tetrahedron, face)."""
+    other, sigma = tri.gluing(t, face)
+    return frozenset(((t, face), (other, sigma(face))))
+
+
+def _intra_cluster_gluings(tri, cluster):
+    return {_gluing(tri, t, face) for t in cluster for face in range(4)
+            if tri.gluing(t, face) is not None
+            and tri.gluing(t, face)[0] in cluster}
+
+
 def test_linear_cluster_settled_without_breadth_first_search(
-        m136_skeleton, m136_shapes, monkeypatch):
-    """m136's flat cluster is linear with a parabolic period, so one walk
-    around it decides the scan; growing a breadth-first development to the
-    default cap of 200 instances would cross more than 200 faces."""
+        m136, m136_shapes, monkeypatch):
+    """The one development crosses each intra-cluster gluing exactly
+    once, from one side, and develops nothing else: on m136's linear
+    cluster and on the branching clusters of two pillow outputs."""
     calls = []
     develop_across = essedge.develop._develop_across
 
-    def counted(*args):
-        calls.append(args)
-        return develop_across(*args)
+    def counted(tri, slots, inst, face):
+        calls.append(_gluing(tri, inst.tet, face))
+        return develop_across(tri, slots, inst, face)
 
     monkeypatch.setattr(essedge.develop, "_develop_across", counted)
-    report = develop_and_scan(verify_shapes(m136_skeleton, m136_shapes))
-    assert report.clusters[0].conclusive
-    assert len(calls) < 200
-
-
-def test_linear_cluster_walk_too_short(m136_skeleton, m136_shapes,
-                                       monkeypatch):
-    """With a cap below the period the walk is inconclusive, the fallback
-    breadth-first development is not finite either, and the walk's reason
-    stands."""
-    monkeypatch.setattr(essedge.develop, "CLUSTER_CAP", 1)
-    report = develop_and_scan(verify_shapes(m136_skeleton, m136_shapes))
-    cluster = report.clusters[0]
-    assert cluster.tets == (3, 5)
-    assert not cluster.conclusive
-    assert cluster.reason == "no period found within 1 steps"
-    assert cluster.translation is None
-    assert cluster.instance_count == 2
-    assert not report.conclusive_for_flat_clusters
+    inputs = [(m136, m136_shapes)] + [
+        (tri, shapes) for tri, shapes, _record, _pairs
+        in _branching_outputs(m136, m136_shapes)]
+    for tri, shapes in inputs:
+        calls.clear()
+        report = develop_and_scan(verify_shapes(tri, shapes))
+        [cluster] = report.clusters
+        assert cluster.conclusive
+        gluings = _intra_cluster_gluings(tri, cluster.tets)
+        assert len(calls) == len(gluings)
+        assert set(calls) == gluings
 
 
 def test_developed_cross_ratios_reproduce_shapes(m136_skeleton, m136_shapes,
@@ -74,7 +81,8 @@ def test_developed_cross_ratios_reproduce_shapes(m136_skeleton, m136_shapes,
     for tet in slots:
         base = _base_instance(slots, tet)
         neighbours = [_develop_across(tri, slots, base, face)
-                      for face in _intra_faces(tri, sorted(slots), tet)]
+                      for face in range(4)
+                      if tri.gluing(tet, face)[0] in slots]
         assert len(neighbours) == 2
         for inst in [base] + neighbours:
             for slot, order in enumerate(_SLOT_ORDER):
@@ -134,23 +142,116 @@ def test_develop_rejects_unverified(m136_skeleton):
             m136_skeleton, ShapeAssignment([parse_gaussian("i")] * 7)))
 
 
-def test_branching_pillow_scans(m136, m136_shapes):
+BRANCHING = (((3, (2, 3)), [(3, 7), (6, 8)]),
+             ((6, (1, 2)), [(3, 8), (6, 7)]))
+
+
+def _branching_outputs(m136, m136_shapes):
     """Two pillow outputs of m136 with exact shapes, m136's and -1 on both
-    pillow tetrahedra, whose flat cluster branches: its development grows
-    past the cap, so the scan is inconclusive."""
+    pillow tetrahedra, whose flat cluster branches, with their records."""
     extended = ShapeAssignment(list(m136_shapes.shapes) + [-1, -1])
-    for edge, sites in ((3, (2, 3)), (6, (1, 2))):
-        tri, _record = pillow_0_2(m136, edge, sites)
-        report = develop_and_scan(verify_shapes(tri, extended))
-        assert not report.conclusive_for_flat_clusters
+    for (edge, sites), pairs in BRANCHING:
+        tri, record = pillow_0_2(m136, edge, sites)
+        yield tri, extended, record, pairs
+
+
+def test_branching_pillow_scans(m136, m136_shapes):
+    """The branching cluster's holonomy is the translation z -> z + 1, so
+    its development is infinite but its scan is conclusive; it finds the
+    pair opposite the degree-2 edge parallel."""
+    for tri, shapes, record, pairs in _branching_outputs(m136, m136_shapes):
+        report = develop_and_scan(verify_shapes(tri, shapes))
+        assert report.conclusive_for_flat_clusters
         [cluster] = report.clusters
         assert cluster.tets == (3, 5, 7, 8)
-        assert not cluster.conclusive
-        assert (cluster.reason
-                == "development cap 200 exceeded (branching cluster)")
-        assert cluster.instance_count == 203
-        assert cluster.coincidences == []
-        assert cluster.translation is None
+        assert cluster.conclusive
+        t = cluster.translation
+        assert (t.a, t.b, t.c, t.d) == (1, 1, 0, 1)
+        assert cluster.coincidences == pairs
+        assert record.split_edges in pairs
+
+
+def _bounded_coincidences(report, cap=200):
+    """Coincident edge-class pairs of a breadth-first development of each
+    flat cluster, stopped at cap instances, read by endpoint set."""
+    skeleton = report.skeleton
+    tri = skeleton.triangulation
+    slots = _flat_slots(report.shapes)
+    pairs = set()
+    for cluster in _flat_clusters(tri, slots):
+        order = [_base_instance(slots, cluster[0])]
+        seen = {(order[0].tet, order[0].positions)}
+        for inst in order:
+            for face in range(4):
+                entry = tri.gluing(inst.tet, face)
+                if (len(order) < cap and entry is not None
+                        and entry[0] in cluster):
+                    new = _develop_across(tri, slots, inst, face)
+                    if (new.tet, new.positions) not in seen:
+                        seen.add((new.tet, new.positions))
+                        order.append(new)
+        assert len(order) == cap
+        ends = {}
+        for inst in order:
+            for a, b in TET_EDGES:
+                cls = skeleton.edge_lookup[(inst.tet, a, b)][0]
+                ends.setdefault(frozenset((inst.positions[a],
+                                           inst.positions[b])),
+                                set()).add(cls)
+        for classes in ends.values():
+            pairs.update(combinations(sorted(classes), 2))
+    return sorted(pairs)
+
+
+def test_scan_matches_bounded_breadth_first_development(m136, m136_shapes):
+    """On m136, the branching pillow outputs and seeded relabellings of
+    all three, a breadth-first development of 200 instances per cluster
+    finds exactly the coincidences of the holonomy scan."""
+    bases = [(m136, m136_shapes)] + [
+        (tri, shapes) for tri, shapes, _record, _pairs
+        in _branching_outputs(m136, m136_shapes)]
+    inputs = list(bases) + [relabelled(tri, shapes, seed)
+                            for seed in range(7) for tri, shapes in bases]
+    found = 0
+    for tri, shapes in inputs:
+        report = verify_shapes(tri, shapes)
+        scan = develop_and_scan(report)
+        assert scan.conclusive_for_flat_clusters
+        pairs = sorted(p for c in scan.clusters for p in c.coincidences)
+        assert pairs == _bounded_coincidences(report)
+        found += bool(pairs)
+    assert found == 2 * 8
+
+
+def _same_map(f, g):
+    return all(f(p) == g(p) for p in (point(0), point(1), INFINITY))
+
+
+def test_holonomy_classification():
+    """The three outcomes on hand-built generators, each conjugated into
+    seeded random frames."""
+    rng = random.Random(11)
+    shift = Moebius(1, 1, 0, 1)
+    assert _holonomy([]) == (True, None, "trivial holonomy")
+    for _ in range(30):
+        frame = _random_frame(rng)
+
+        def moved(*maps):
+            return [frame.compose(m).compose(frame.inverse()) for m in maps]
+
+        assert _holonomy(moved(IDENTITY)) == (True, None, "trivial holonomy")
+        conclusive, t, reason = _holonomy(moved(shift, Moebius(2, 3, 0, 2)))
+        assert conclusive and reason == "cyclic parabolic holonomy"
+        [half] = moved(Moebius(2, 1, 0, 2))
+        assert _same_map(t, half) or _same_map(t, half.inverse())
+        # z -> z / (z + 1) is parabolic and fixes 0, not oo
+        assert _holonomy(moved(shift, Moebius(1, 0, 1, 1))) == (
+            False, None,
+            "parabolic holonomy generators with different fixed points")
+        for map_ in (Moebius(2, 0, 0, 1), Moebius(0, -1, 1, 0)):
+            conclusive, t, reason = _holonomy(moved(shift, map_))
+            assert not conclusive and t is None
+            assert reason.endswith("is not parabolic")
 
 
 # ---- the rational projective line ----
