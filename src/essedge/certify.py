@@ -55,6 +55,8 @@ ALL_METHODS = ("angle", "homology", "geometry", "group")
 
 
 class EdgeVerdict:
+    __slots__ = ("edge", "essential", "certificate")
+
     def __init__(self, edge, essential, certificate):
         self.edge = edge
         self.essential = essential

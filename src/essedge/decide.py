@@ -29,6 +29,14 @@ Every verdict is three-valued.  A yes or no carries a certificate that
 Unknown carries "budget_exhausted" and the budget.  All searches are
 deterministic and ordered, so a definite verdict at some budget is
 returned unchanged at any larger budget.
+
+The searches are shared per presentation: each coset attempt, keyed by
+its subgroup words and cap (a failed one too), and each factorisation
+product table, keyed by its words, depth and node budget, is built once,
+on first use, into the presentation's `built` store and read from there
+by every later question.  Since both are deterministic, sharing changes
+no verdict or certificate.  Replay never reads the store: it enumerates
+afresh, under the replaying caller's budget.
 """
 import heapq
 from itertools import groupby, permutations
@@ -432,6 +440,25 @@ def _orbit(table, words):
     return orbit
 
 
+def _factor_table(presentation, words, budget):
+    """The words' product table, built once per presentation and budget."""
+    key = "factor", tuple(words), budget.factor_depth, budget.factor_nodes
+    if key not in presentation.built:
+        presentation.built[key] = _product_table(
+            words, budget.factor_depth, budget.factor_nodes)
+    return presentation.built[key]
+
+
+def _coset_attempt(presentation, words, budget):
+    """The subgroup's coset table, or None when it did not complete, from
+    one enumeration per presentation and cap."""
+    key = "coset", tuple(words), budget.coset_nodes
+    if key not in presentation.built:
+        presentation.built[key] = coset_enumeration(
+            presentation, words, max_cosets=budget.coset_nodes)
+    return presentation.built[key]
+
+
 def decide_double_coset(presentation, h1_words, h2_words, word, budget=None):
     """Does the word lie in the double coset H2·H1?  The one group decider:
     triviality and subgroup membership are the cases 1·1 and 1·H."""
@@ -445,15 +472,16 @@ def decide_double_coset(presentation, h1_words, h2_words, word, budget=None):
     separated = abelian_separation(presentation, h1_words, h2_words, word)
     if separated is not None:
         return separated
-    # bounded literal factorisation: w = p2 * p1 after free reduction
-    t1 = _product_table(h1_words, budget.factor_depth, budget.factor_nodes)
-    t2 = _product_table(h2_words, budget.factor_depth, budget.factor_nodes)
+    # bounded literal factorisation: w = p2 * p1 after free reduction; the
+    # factor lists are copied, as the tables are shared
+    t1 = _factor_table(presentation, h1_words, budget)
+    t2 = _factor_table(presentation, h2_words, budget)
     for p2, factors2 in t2.items():
         rest = concat(inverse_word(p2), word)
         if rest in t1:
             return GroupVerdict("yes", {"kind": "factorization",
-                                        "h2_factors": factors2,
-                                        "h1_factors": t1[rest]})
+                                        "h2_factors": list(factors2),
+                                        "h1_factors": list(t1[rest])})
     # with both subgroups trivial the question is triviality, which a
     # rewriting trace to the empty word settles before any coset table
     if not any(h1_words) and not any(h2_words):
@@ -467,8 +495,7 @@ def decide_double_coset(presentation, h1_words, h2_words, word, budget=None):
     if any(h2_words):
         attempts.append((h2_words, h1_words, inverse_word(word), True))
     for subgroup, others, w, swap in attempts:
-        table = coset_enumeration(presentation, subgroup,
-                                  max_cosets=budget.coset_nodes)
+        table = _coset_attempt(presentation, subgroup, budget)
         if table is None:
             continue
         # w in H2 H1  <=>  some coset H1 x with x in H2 satisfies
@@ -532,23 +559,27 @@ def _rebuild_table(presentation, subgroup_words, cert):
     return table if table.verify() else None
 
 
-def replay_word_verdict(presentation, word, verdict):
+def replay_word_verdict(presentation, word, verdict, budget=None):
     """Independent check of a decide_word yes/no certificate."""
     return replay_double_coset_verdict(presentation, (), (), word,
-                                       _negated(verdict))
+                                       _negated(verdict), budget)
 
 
-def replay_membership_verdict(presentation, subgroup_words, word, verdict):
+def replay_membership_verdict(presentation, subgroup_words, word, verdict,
+                              budget=None):
     """Independent check of a decide_membership yes/no certificate."""
     return replay_double_coset_verdict(presentation, subgroup_words, (),
-                                       word, verdict)
+                                       word, verdict, budget)
 
 
 def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
-                                verdict):
+                                verdict, budget=None):
     """Independent check of a decide_double_coset yes/no certificate.
     Only the certificate's witness is read: an abelianisation certificate
-    is recomputed, so it may omit its image."""
+    is recomputed, so it may omit its image.  A "yes" coset table is
+    re-enumerated under its own cap, which must lie within the replaying
+    caller's `budget.coset_nodes` (default `Budget()`)."""
+    budget = budget or Budget()
     word = free_reduce(word)
     h1_words = [free_reduce(h) for h in h1_words]
     h2_words = [free_reduce(h) for h in h2_words]
@@ -578,7 +609,8 @@ def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
             # be the subgroup's own, as its enumeration rebuilds it
             cap = cert.get("max_cosets")
             table = (coset_enumeration(presentation, subgroup, max_cosets=cap)
-                     if isinstance(cap, int) else None)
+                     if type(cap) is int and 1 <= cap <= budget.coset_nodes
+                     else None)
             x = _product(others, cert.get("h2_inverse_factors"))
             if (table is None or x is None
                     or table.to_json() != cert.get("table")):

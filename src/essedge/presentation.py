@@ -60,7 +60,9 @@ def word_to_string(word):
 
 
 class Presentation:
-    """A finite presentation: generator count plus relator words."""
+    """A finite presentation: generator count plus relator words.  `built`
+    is the group decider's store of what it has built for this
+    presentation (see `essedge.decide`); it lives and dies with it."""
 
     def __init__(self, generator_count, relators):
         self.generator_count = generator_count
@@ -72,6 +74,7 @@ class Presentation:
                     raise ValueError("relator letter %d out of range" % x)
             rels.append(r)
         self.relators = tuple(rels)
+        self.built = {}
 
     def exponent_vector(self, word):
         v = [0] * self.generator_count

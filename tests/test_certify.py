@@ -190,6 +190,38 @@ def test_one_abelianisation_per_certification(monkeypatch):
     assert calls["abelian_separation"] > 1
 
 
+def test_group_searches_built_once_per_certification(monkeypatch):
+    """A pillow certification at the A5 budget asks many questions of few
+    subgroups: each coset attempt, keyed by subgroup words and cap, and
+    each factorisation product table, keyed by words, depth and node
+    budget, is built exactly once."""
+    built = Counter()
+    enumerate_cosets = essedge.decide.coset_enumeration
+    product_table = essedge.decide._product_table
+
+    def counted_cosets(presentation, words=(), max_cosets=10000):
+        built["coset", tuple(map(tuple, words)), max_cosets] += 1
+        return enumerate_cosets(presentation, words, max_cosets=max_cosets)
+
+    def counted_table(words, depth, nodes):
+        built["factor", tuple(map(tuple, words)), depth, nodes] += 1
+        return product_table(words, depth, nodes)
+
+    monkeypatch.setattr(essedge.decide, "coset_enumeration", counted_cosets)
+    monkeypatch.setattr(essedge.decide, "_product_table", counted_table)
+    questions = Counter()
+    _count_calls(monkeypatch, essedge.decide.decide_double_coset, questions)
+    m136 = parse_triangulation(fixture_text("m136.tri"))
+    pillow, _ = pillow_0_2(m136, 2, (3, 4))
+    budget = Budget(coset_nodes=100, rewrite_steps=100, quotient_degree=2,
+                    quotient_nodes=100, factor_depth=3, factor_nodes=200)
+    certify_strongly_essential(pillow, budget,
+                               methods=("angle", "homology", "group"))
+    assert {key[0] for key in built} == {"coset", "factor"}
+    assert set(built.values()) == {1}, built.most_common(3)
+    assert questions["decide_double_coset"] > 2 * len(built)
+
+
 def test_slot_values_derived_once(monkeypatch, m136_skeleton, m136_shapes):
     """The shape checks of a certification and the development all read
     one slot table, derived with one call per tetrahedron."""

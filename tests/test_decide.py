@@ -1,9 +1,11 @@
+import copy
 import random
 import tracemalloc
 from itertools import combinations, product
 
 import pytest
 
+import essedge.decide
 from essedge import build_skeleton, parse_triangulation
 from essedge.certify import _Analysis
 from essedge.presentation import (Presentation, word_from_string as words,
@@ -190,6 +192,65 @@ def test_forged_coset_table_does_not_replay(q8_skeleton):
                         "table": [[0] * (2 * n)]},
               "h2_inverse_factors": [], "max_cosets": 20000}
     assert not replay_word_verdict(q8, (1,), GroupVerdict("no", forged))
+
+
+def test_replay_caps_coset_enumeration_by_its_budget(monkeypatch):
+    """A "yes" coset table is re-enumerated under its own cap only when
+    that cap lies within the replaying caller's budget.  The trivial
+    subgroup of F2 never completes, so a forged certificate for it asking
+    for 50000 cosets is rejected without enumerating; a genuine one still
+    replays."""
+    enumerated = []
+    enumerate_cosets = essedge.decide.coset_enumeration
+
+    def counted(*args, **kwargs):
+        enumerated.append(kwargs["max_cosets"])
+        return enumerate_cosets(*args, **kwargs)
+
+    monkeypatch.setattr(essedge.decide, "coset_enumeration", counted)
+    forged = {"kind": "coset_table", "swapped": False,
+              "table": {"cosets": 1, "generators": 2,
+                        "table": [[0, 0, 0, 0]]},
+              "h2_inverse_factors": []}
+    for cap in (50000, 20001, 0, -1, True, "100", None):
+        assert not replay_word_verdict(
+            FREE2, words("a"), GroupVerdict("no", dict(forged,
+                                                       max_cosets=cap)))
+    assert not replay_word_verdict(
+        FREE2, words("a"), GroupVerdict("no", dict(forged, max_cosets=200)),
+        Budget(coset_nodes=100))
+    assert enumerated == []
+    s3 = Presentation(2, [words("aa"), words("bb"), words("ababab")])
+    h1, h2, w = [words("a")], [words("ab")], words("b")
+    for nodes in (20000, 50):
+        verdict = decide_double_coset(s3, h1, h2, w, Budget(coset_nodes=nodes))
+        assert verdict.certificate["kind"] == "coset_table"
+        assert verdict.certificate["max_cosets"] == nodes
+        assert replay_double_coset_verdict(s3, h1, h2, w, verdict)
+        assert replay_double_coset_verdict(s3, h1, h2, w, verdict,
+                                           Budget(coset_nodes=nodes))
+    assert not replay_double_coset_verdict(s3, h1, h2, w, verdict,
+                                           Budget(coset_nodes=49))
+
+
+def test_certificates_do_not_alias_shared_searches():
+    """A returned certificate belongs to the caller: mutating it leaves
+    the tables the presentation shares, so asking the same question again
+    gives the original verdict."""
+    s3 = Presentation(2, [words("aa"), words("bb"), words("ababab")])
+    questions = ((FREE2, [words("a")], [words("b")], words("bba")),
+                 (s3, [words("a")], [words("ab")], words("b")))
+    for pres, h1, h2, w in questions:
+        verdict = decide_double_coset(pres, h1, h2, w)
+        original = copy.deepcopy(verdict.to_json())
+        for value in verdict.certificate.values():
+            if isinstance(value, list):
+                value.append(1)
+            elif isinstance(value, dict):
+                value["table"][0][0] = 99
+        assert decide_double_coset(pres, h1, h2, w).to_json() == original
+    kinds = {decide_double_coset(*q).certificate["kind"] for q in questions}
+    assert kinds == {"factorization", "coset_table"}
 
 
 def _empty_table_cert(table):

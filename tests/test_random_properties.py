@@ -9,9 +9,11 @@ from itertools import combinations, permutations
 
 import pytest
 
-from essedge import (Triangulation, Perm4, build_skeleton, are_isomorphic,
-                     SkeletonError)
+import essedge.certify
+from essedge import (Presentation, Triangulation, Perm4, build_skeleton,
+                     are_isomorphic, SkeletonError)
 from essedge.angles import build_angle_system, solve_angle_lp
+from essedge.certify import certify_strongly_essential
 from essedge.decide import (Budget, decide_word, decide_membership,
                             decide_double_coset, replay_word_verdict,
                             replay_membership_verdict,
@@ -224,3 +226,43 @@ def test_group_certificates_replay(corpus):
         if verdict.answer != "unknown":
             replayed += 1
     assert replayed >= 20
+
+
+def test_shared_searches_answer_as_fresh_ones(corpus, m136, monkeypatch):
+    """Deciding a question on a presentation that earlier questions have
+    filled with coset attempts and product tables gives the same verdict,
+    certificate included, as deciding it on a fresh presentation: over the
+    random corpus, and over every question a pillow certification at the
+    A5 budget asks."""
+    answered = []
+    decide = essedge.certify.decide_double_coset
+
+    def recorded(*question):
+        verdict = decide(*question)
+        answered.append((question, verdict.to_json()))
+        return verdict
+
+    budget = Budget(coset_nodes=300, rewrite_steps=200, quotient_degree=3,
+                    quotient_nodes=500, factor_depth=3, factor_nodes=300)
+    for tri in corpus[:20]:
+        pres = presentation_spine(build_skeleton(tri))
+        n = pres.generator_count
+        subgroups = ([], [(1,)], [(n,)], [(1, n)]) if n else ()
+        targets = [(g + 1,) for g in range(n)] + [(1, 1), (n, -1, n)]
+        for h1 in subgroups:
+            for h2 in subgroups:
+                for w in targets:
+                    recorded(pres, h1, h2, w, budget)
+    monkeypatch.setattr(essedge.certify, "decide_double_coset", recorded)
+    a5 = Budget(coset_nodes=100, rewrite_steps=100, quotient_degree=2,
+                quotient_nodes=100, factor_depth=3, factor_nodes=200)
+    for edge, sites in ((0, (0, 1)), (2, (3, 4)), (5, (0, 2))):
+        pillow, _record = pillow_0_2(m136, edge, sites)
+        certify_strongly_essential(pillow, a5,
+                                   methods=("angle", "homology", "group"))
+    presentations = {id(q[0]): q[0] for q, _answer in answered}
+    assert len(presentations) > 10
+    assert sum(len(p.built) for p in presentations.values()) < len(answered)
+    for (pres, *rest), answer in answered:
+        fresh = Presentation(pres.generator_count, pres.relators)
+        assert decide(fresh, *rest).to_json() == answer
