@@ -36,7 +36,8 @@ product table, keyed by its words, depth and node budget, is built once,
 on first use, into the presentation's `built` store and read from there
 by every later question.  Since both are deterministic, sharing changes
 no verdict or certificate.  Replay never reads the store: it enumerates
-afresh, under the replaying caller's budget.
+afresh, and a "yes" coset table's cap must lie within the default
+`coset_nodes`, so a certificate cannot set how long its replay runs.
 """
 import heapq
 from itertools import groupby, permutations
@@ -440,22 +441,10 @@ def _orbit(table, words):
     return orbit
 
 
-def _factor_table(presentation, words, budget):
-    """The words' product table, built once per presentation and budget."""
-    key = "factor", tuple(words), budget.factor_depth, budget.factor_nodes
+def _built(presentation, key, build):
+    """What `build()` returns, built once per presentation and key."""
     if key not in presentation.built:
-        presentation.built[key] = _product_table(
-            words, budget.factor_depth, budget.factor_nodes)
-    return presentation.built[key]
-
-
-def _coset_attempt(presentation, words, budget):
-    """The subgroup's coset table, or None when it did not complete, from
-    one enumeration per presentation and cap."""
-    key = "coset", tuple(words), budget.coset_nodes
-    if key not in presentation.built:
-        presentation.built[key] = coset_enumeration(
-            presentation, words, max_cosets=budget.coset_nodes)
+        presentation.built[key] = build()
     return presentation.built[key]
 
 
@@ -474,8 +463,10 @@ def decide_double_coset(presentation, h1_words, h2_words, word, budget=None):
         return separated
     # bounded literal factorisation: w = p2 * p1 after free reduction; the
     # factor lists are copied, as the tables are shared
-    t1 = _factor_table(presentation, h1_words, budget)
-    t2 = _factor_table(presentation, h2_words, budget)
+    depth, nodes = budget.factor_depth, budget.factor_nodes
+    t1, t2 = (_built(presentation, ("factor", tuple(h), depth, nodes),
+                     lambda: _product_table(h, depth, nodes))
+              for h in (h1_words, h2_words))
     for p2, factors2 in t2.items():
         rest = concat(inverse_word(p2), word)
         if rest in t1:
@@ -495,7 +486,11 @@ def decide_double_coset(presentation, h1_words, h2_words, word, budget=None):
     if any(h2_words):
         attempts.append((h2_words, h1_words, inverse_word(word), True))
     for subgroup, others, w, swap in attempts:
-        table = _coset_attempt(presentation, subgroup, budget)
+        table = _built(presentation,
+                       ("coset", tuple(subgroup), budget.coset_nodes),
+                       lambda: coset_enumeration(
+                           presentation, subgroup,
+                           max_cosets=budget.coset_nodes))
         if table is None:
             continue
         # w in H2 H1  <=>  some coset H1 x with x in H2 satisfies
@@ -559,27 +554,25 @@ def _rebuild_table(presentation, subgroup_words, cert):
     return table if table.verify() else None
 
 
-def replay_word_verdict(presentation, word, verdict, budget=None):
+def replay_word_verdict(presentation, word, verdict):
     """Independent check of a decide_word yes/no certificate."""
     return replay_double_coset_verdict(presentation, (), (), word,
-                                       _negated(verdict), budget)
+                                       _negated(verdict))
 
 
-def replay_membership_verdict(presentation, subgroup_words, word, verdict,
-                              budget=None):
+def replay_membership_verdict(presentation, subgroup_words, word, verdict):
     """Independent check of a decide_membership yes/no certificate."""
     return replay_double_coset_verdict(presentation, subgroup_words, (),
-                                       word, verdict, budget)
+                                       word, verdict)
 
 
 def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
-                                verdict, budget=None):
+                                verdict):
     """Independent check of a decide_double_coset yes/no certificate.
     Only the certificate's witness is read: an abelianisation certificate
     is recomputed, so it may omit its image.  A "yes" coset table is
-    re-enumerated under its own cap, which must lie within the replaying
-    caller's `budget.coset_nodes` (default `Budget()`)."""
-    budget = budget or Budget()
+    re-enumerated under its own cap, which must lie within the default
+    `coset_nodes`, so a certificate cannot set how long its replay runs."""
     word = free_reduce(word)
     h1_words = [free_reduce(h) for h in h1_words]
     h2_words = [free_reduce(h) for h in h2_words]
@@ -609,7 +602,8 @@ def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
             # be the subgroup's own, as its enumeration rebuilds it
             cap = cert.get("max_cosets")
             table = (coset_enumeration(presentation, subgroup, max_cosets=cap)
-                     if type(cap) is int and 1 <= cap <= budget.coset_nodes
+                     if type(cap) is int
+                     and 1 <= cap <= Budget.DEFAULTS["coset_nodes"]
                      else None)
             x = _product(others, cert.get("h2_inverse_factors"))
             if (table is None or x is None

@@ -61,8 +61,7 @@ def word_to_string(word):
 
 class Presentation:
     """A finite presentation: generator count plus relator words.  `built`
-    is the group decider's store of what it has built for this
-    presentation (see `essedge.decide`); it lives and dies with it."""
+    holds what `essedge.decide` has built for it."""
 
     def __init__(self, generator_count, relators):
         self.generator_count = generator_count
