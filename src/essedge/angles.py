@@ -55,7 +55,7 @@ class AngleSystem:
         rows = [[int(c // 3 == t) for c in range(self.columns)]
                 for t in range(n)]
         self.matrix = rows + skeleton.edge_rows
-        self.rhs = [Fraction(1)] * n + [Fraction(2)] * len(skeleton.edge_rows)
+        self.rhs = [1] * n + [2] * len(skeleton.edge_rows)
 
     @property
     def shape(self):
@@ -99,7 +99,7 @@ def max_min_angle(skeleton):
     # substitute x = y + t, y >= 0, t = tp - tm free
     rowsum = [sum(row) for row in A]
     A2 = [row + [rowsum[i], -rowsum[i]] for i, row in enumerate(A)]
-    c = [Fraction(0)] * ncols + [Fraction(-1), Fraction(1)]
+    c = [0] * ncols + [-1, 1]
     status, x, value = solve_lp(A2, system.rhs, c)
     if status != "optimal":
         return None

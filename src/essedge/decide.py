@@ -42,7 +42,8 @@ afresh, and a "yes" coset table's cap must lie within the default
 import heapq
 from itertools import groupby, permutations
 
-from .presentation import free_reduce, inverse_word, concat, cyclic_reduce
+from .presentation import (free_reduce, inverse_word, inverse_times, concat,
+                           cyclic_reduce)
 from .snf import in_column_span
 from .coset import coset_enumeration
 
@@ -468,7 +469,7 @@ def decide_double_coset(presentation, h1_words, h2_words, word, budget=None):
                      lambda: _product_table(h, depth, nodes))
               for h in (h1_words, h2_words))
     for p2, factors2 in t2.items():
-        rest = concat(inverse_word(p2), word)
+        rest = inverse_times(p2, word)
         if rest in t1:
             return GroupVerdict("yes", {"kind": "factorization",
                                         "h2_factors": list(factors2),

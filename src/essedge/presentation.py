@@ -33,6 +33,17 @@ def concat(*words):
     return free_reduce(out)
 
 
+def inverse_times(u, w):
+    """u^-1 w for freely reduced u and w: only the junction cancels, so
+    their common prefix is all that goes."""
+    k = 0
+    for a, b in zip(u, w):
+        if a != b:
+            break
+        k += 1
+    return inverse_word(u[k:]) + w[k:]
+
+
 def cyclic_reduce(word):
     w = list(free_reduce(word))
     while len(w) >= 2 and w[0] == -w[-1]:

@@ -201,31 +201,6 @@ def cokernel(rel_matrix, ngens):
     return tuple(tuple(U[i]) for i in kept), tuple(d[i] for i in kept)
 
 
-def cokernel_reducer(rel_matrix, ngens):
-    """
-    A reduction map for Z^ngens / rowspace(rel_matrix): takes an exponent
-    vector to a canonical tuple that is zero exactly on the row space.
-    """
-    rel_matrix = [r for r in rel_matrix if any(r)]
-    if not rel_matrix:
-        return lambda v: tuple(v)
-    # treat relator vectors as the columns of a map into Z^ngens
-    matrix = [[rel_matrix[r][g] for r in range(len(rel_matrix))]
-              for g in range(ngens)]
-    d, U, _ = smith_normal_form(matrix)
-
-    def reduce_vec(v):
-        support = [(k, x) for k, x in enumerate(v) if x]
-        uv = [sum(row[k] * x for k, x in support) for row in U]
-        out = []
-        for i in range(ngens):
-            di = d[i] if i < len(d) else 0
-            out.append(uv[i] % di if di else uv[i])
-        return tuple(out)
-
-    return reduce_vec
-
-
 def homology_invariants(d1, d2, n1):
     """
     Invariants of ker(d1) / im(d2) for integer boundary maps d1: C1 -> C0

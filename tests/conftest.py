@@ -3,7 +3,7 @@ import importlib.resources as resources
 import pytest
 
 from essedge import parse_triangulation, build_skeleton
-from essedge.snf import homology_invariants
+from essedge.snf import homology_invariants, smith_normal_form
 
 
 def fixture_text(name):
@@ -85,3 +85,30 @@ def dual_h1(skeleton):
             c, slot = skeleton.face_lookup[(t, e.pivots[i])]
             d2[c][e.index] += 1 if slot == 0 else -1
     return homology_invariants(d1, d2, n1)
+
+
+def cokernel_reducer(rel_matrix, ngens):
+    """
+    A reference reduction map for Z^ngens / rowspace(rel_matrix): takes an
+    exponent vector to a canonical tuple that is zero exactly on the row
+    space.  No library code calls it: it is the reference the tests hold
+    `snf.cokernel` and the abelianisation to.
+    """
+    rel_matrix = [r for r in rel_matrix if any(r)]
+    if not rel_matrix:
+        return lambda v: tuple(v)
+    # treat relator vectors as the columns of a map into Z^ngens
+    matrix = [[rel_matrix[r][g] for r in range(len(rel_matrix))]
+              for g in range(ngens)]
+    d, U, _ = smith_normal_form(matrix)
+
+    def reduce_vec(v):
+        support = [(k, x) for k, x in enumerate(v) if x]
+        uv = [sum(row[k] * x for k, x in support) for row in U]
+        out = []
+        for i in range(ngens):
+            di = d[i] if i < len(d) else 0
+            out.append(uv[i] % di if di else uv[i])
+        return tuple(out)
+
+    return reduce_vec

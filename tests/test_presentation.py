@@ -1,5 +1,8 @@
+import random
+
 from essedge.presentation import (Presentation, free_reduce, inverse_word,
-                                  concat, cyclic_reduce, word_from_string,
+                                  inverse_times, concat, cyclic_reduce,
+                                  word_from_string,
                                   word_to_string, homology, word_image,
                                   simplify_presentation)
 
@@ -11,6 +14,28 @@ def test_free_reduction():
     assert inverse_word((1, 2)) == (-2, -1)
     assert concat((1, 2), (-2, 3)) == (1, 3)
     assert cyclic_reduce((1, 2, -1)) == (2,)
+
+
+def test_inverse_times_cancels_only_at_the_junction():
+    """u^-1 w for freely reduced words equals the full free reduction: over
+    random words sharing a random prefix, an empty u, a w that is a prefix
+    of u, and u = w, where everything cancels."""
+    rng = random.Random(3)
+
+    def word(k):
+        return free_reduce(rng.choice((-3, -2, -1, 1, 2, 3))
+                           for _ in range(k))
+
+    cases = [((), ()), ((), (1, -2)), ((1, 2, 3), (1, 2)),
+             ((1, 2), (1, 2)), ((2, -1), (2, -1, 3)), ((1,), (-1,))]
+    for _ in range(500):
+        prefix = word(rng.randint(0, 4))
+        u = free_reduce(prefix + word(rng.randint(0, 6)))
+        w = free_reduce(prefix + word(rng.randint(0, 6)))
+        cases += [(u, w), (u, u), (u, u[:rng.randint(0, len(u))]), ((), w)]
+    for u, w in cases:
+        assert inverse_times(u, w) == concat(inverse_word(u), w)
+    assert inverse_times((1, 2), (1, 2)) == ()
 
 
 def test_word_strings():

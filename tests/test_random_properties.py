@@ -23,7 +23,9 @@ from essedge.linprog import solve_lp
 from essedge.moves import pachner_2_3, pachner_3_2, pillow_0_2, MoveError
 from essedge.presentation import (homology, word_image,
                                   word_from_string as words)
-from essedge.snf import abelian_invariants, cokernel_reducer
+from essedge.snf import abelian_invariants
+
+from conftest import cokernel_reducer
 
 ALL_PERMS = [Perm4(p) for p in permutations(range(4))]
 

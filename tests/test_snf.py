@@ -1,8 +1,9 @@
 import random
 
 from essedge.snf import (smith_normal_form, abelian_invariants,
-                         solve_integer, in_column_span, cokernel_reducer,
-                         homology_invariants)
+                         solve_integer, in_column_span, homology_invariants)
+
+from conftest import cokernel_reducer
 
 
 def _matmul(a, b):
