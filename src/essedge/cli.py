@@ -125,11 +125,13 @@ def cmd_angles(args):
 def cmd_pi1(args):
     tri = _load(args.input)
     skeleton = build_skeleton(tri)
+    spine = None
     if skeleton.classification == "closed_manifold_1vertex":
         presentation = presentation_closed(skeleton)
         flavor = "closed (edge generators)"
     else:
-        presentation = SpineData(skeleton).presentation
+        spine = SpineData(skeleton)
+        presentation = spine.presentation
         flavor = "spine (face-class generators)"
     if args.simplify:
         presentation = simplify_presentation(presentation)
@@ -143,7 +145,7 @@ def cmd_pi1(args):
                "relators": [word_to_string(r) for r in presentation.relators],
                "homology": list(invariants)}
     if args.peripheral:
-        spine = SpineData(skeleton)
+        spine = spine or SpineData(skeleton)
         payload["peripheral"] = {}
         for link in skeleton.vertex_links:
             if link.surface_kind != "torus":
@@ -218,8 +220,11 @@ def cmd_move(args):
         raise CliFailure(str(e))
     doc = json.dumps(out.to_json(), indent=2)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(doc + "\n")
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(doc + "\n")
+        except OSError as e:
+            raise CliFailure("cannot write %s: %s" % (args.output, e))
     payload = {"kind": record.kind, "created": record.created,
                "tets": out.tet_count}
     text = "%s move: %d tetrahedra, created %s%s" % (

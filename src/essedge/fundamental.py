@@ -12,9 +12,13 @@ path on a vertex link crossing from one corner triangle to an adjacent one
 crosses the corresponding face of the triangulation, so paths on the
 boundary tori, peripheral generators, and the loops needed for the
 essential / parallel edge tests are all words in the same generators.
+Paths on a link follow the spanning tree that the skeleton's link walk
+recorded (`LinkStructure.parent`).  Going once around a link vertex crosses
+the faces around its edge class, so each edge-class end at a cusp reads
+one relation among the link's cotree cycles off the edge's pivots.
 """
 from .presentation import Presentation, free_reduce, inverse_word, concat
-from .skeleton import _UnionFind, as_skeleton
+from .skeleton import as_skeleton
 from .snf import cokernel
 
 
@@ -43,53 +47,6 @@ def presentation_closed(tri_or_skeleton):
     return Presentation(len(skeleton.edge_classes), relators)
 
 
-class LinkTree:
-    """Spanning tree of a vertex link's corner-triangle adjacency graph,
-    rooted at the lexicographically least triangle."""
-
-    def __init__(self, structure):
-        self.structure = structure
-        self.basepoint = min(structure.triangles)
-        self.parent = {self.basepoint: None}
-        self.tree_sides = set()
-        order = [self.basepoint]
-        i = 0
-        while i < len(order):
-            tv = order[i]
-            i += 1
-            for f in sorted(x for x in range(4) if x != tv[1]):
-                key = (tv, f)
-                if key not in structure.side_gluing:
-                    continue
-                tv2, f2, _ = structure.side_gluing[key]
-                if tv2 not in self.parent:
-                    self.parent[tv2] = (tv, f)
-                    self.tree_sides.add(frozenset([key, (tv2, f2)]))
-                    order.append(tv2)
-
-    def path_crossings(self, tv):
-        """Crossings (triangle, out_side) from the basepoint to tv."""
-        steps = []
-        while self.parent[tv] is not None:
-            steps.append(self.parent[tv])
-            tv = self.parent[tv][0]
-        return list(reversed(steps))
-
-    def cotree_sides(self):
-        """Glued sides not in the tree, one frozenset per side, sorted by
-        their lex-least slot."""
-        seen = set()
-        out = []
-        for key in sorted(self.structure.side_gluing):
-            tv2, f2, _ = self.structure.side_gluing[key]
-            side = frozenset([key, (tv2, f2)])
-            if side in seen or side in self.tree_sides:
-                continue
-            seen.add(side)
-            out.append(side)
-        return out
-
-
 class PeripheralSystem:
     """The two chosen peripheral generators of a torus link: their words in
     the spine presentation and the underlying crossing cycles."""
@@ -116,12 +73,13 @@ class SpineData:
         self.tri = tri
 
         # spanning tree of the dual graph, face classes in index order
-        components = _UnionFind(range(tri.tet_count))
+        component = list(range(tri.tet_count))
         self.tree_faces = set()
         for fc in skeleton.face_classes:
             (t1, _), (t2, _) = fc.representatives
-            if components.find(t1) != components.find(t2):
-                components.union(t1, t2)
+            c1, c2 = component[t1], component[t2]
+            if c1 != c2:
+                component = [c1 if c == c2 else c for c in component]
                 self.tree_faces.add(fc.index)
         self.gen_of_face = {}
         for fc in skeleton.face_classes:
@@ -139,7 +97,6 @@ class SpineData:
                     word.append(letter)
             relators.append(free_reduce(word))
         self.presentation = Presentation(self.generator_count, relators)
-        self._link_trees = {}
         self._peripheral = {}
 
     def crossing_letter(self, t, f):
@@ -155,16 +112,11 @@ class SpineData:
         return free_reduce([x for x in (self.crossing_letter(t, f)
                                         for (t, _v), f in crossings) if x])
 
-    def link_tree(self, vertex):
-        if vertex not in self._link_trees:
-            structure = self.skeleton.vertex_links[vertex].structure
-            self._link_trees[vertex] = LinkTree(structure)
-        return self._link_trees[vertex]
-
     def path_word(self, vertex, tv):
         """Word of the link-tree path from the link basepoint to triangle
         tv on the link of the given vertex class."""
-        return self.crossing_word(self.link_tree(vertex).path_crossings(tv))
+        structure = self.skeleton.vertex_links[vertex].structure
+        return self.crossing_word(structure.path_crossings(tv))
 
     # ---- peripheral generators ----
 
@@ -178,41 +130,30 @@ class SpineData:
         if link.surface_kind != "torus":
             raise ValueError("vertex %d link is a %s, not a torus"
                              % (vertex, link.surface_kind))
-        tree = self.link_tree(vertex)
         structure = link.structure
-        cotree = tree.cotree_sides()
+
+        def invert(crossing):
+            return structure.side_gluing[crossing][:2]
+
+        cotree = structure.cotree_sides()
         cindex = {side: k for k, side in enumerate(cotree)}
 
-        # corner rotation loops give the relations among cotree cycles
+        # one relation among the cotree cycles per edge-class end at the
+        # cusp: going once around the end crosses the edge's pivot faces
         rows = []
-        ends = sorted({(t, v, w) for (t, v) in structure.triangles
-                       for w in range(4) if w != v})
-        visited = set()
-        for start in ends:
-            if start in visited:
-                continue
-            row = [0] * len(cotree)
-            t, v, w = start
-            sides = [f for f in range(4) if f not in (v, w)]
-            out = min(sides)
-            cur = (t, v, w, out)
-            while True:
-                t, v, w, out = cur
-                visited.add((t, v, w))
-                key = ((t, v), out)
-                tv2, f2, sigma = structure.side_gluing[key]
-                side = frozenset([key, (tv2, f2)])
-                if side in cindex:
-                    lo, _hi = sorted(side)
-                    row[cindex[side]] += 1 if key == lo else -1
-                w2 = sigma(w)
-                t2, v2 = tv2
-                out2 = [f for f in range(4) if f not in (v2, w2, f2)][0]
-                cur = (t2, v2, w2, out2)
-                if (cur[0], cur[1], cur[2]) == start and cur[3] == min(
-                        f for f in range(4) if f not in (start[1], start[2])):
-                    break
-            rows.append(row)
+        for e in self.skeleton.edge_classes:
+            t0, ab0 = e.corners[0]
+            for end in (0, 1):
+                if self.vertex_of_end(t0, ab0[end]) != vertex:
+                    continue
+                row = [0] * len(cotree)
+                for (t, ab), pivot in zip(e.corners, e.pivots):
+                    key = ((t, ab[end]), pivot)
+                    lo, hi = sorted((key, invert(key)))
+                    k = cindex.get((lo, hi))
+                    if k is not None:
+                        row[k] += 1 if key == lo else -1
+                rows.append(row)
 
         # the lex-least pair of cotree cycles generating H1 = Z^2: the
         # cokernel of the rows must have moduli (0, 0), and the pair's
@@ -231,23 +172,17 @@ class SpineData:
         words = []
         curves = []
         for k in chosen:
-            lo, hi = sorted(cotree[k])
-            crossings = (tree.path_crossings(lo[0]) + [lo]
-                         + [self._invert_crossing(vertex, x) for x in
-                            reversed(tree.path_crossings(hi[0]))])
+            lo, hi = cotree[k]
+            crossings = (structure.path_crossings(lo[0]) + [lo]
+                         + [invert(x) for x in
+                            reversed(structure.path_crossings(hi[0]))])
             # the based word keeps the full loop; the curve (used for
             # holonomy, which is conjugation-invariant) is cyclically
             # reduced to its geodesic-like core
             words.append(self.crossing_word(crossings))
-            curves.append(_reduce_crossings(
-                crossings, lambda x: self._invert_crossing(vertex, x)))
-        return PeripheralSystem(vertex, tree.basepoint, tuple(words),
+            curves.append(_reduce_crossings(crossings, invert))
+        return PeripheralSystem(vertex, structure.triangles[0], tuple(words),
                                 tuple(curves))
-
-    def _invert_crossing(self, vertex, crossing):
-        structure = self.skeleton.vertex_links[vertex].structure
-        tv2, f2, _ = structure.side_gluing[crossing]
-        return (tv2, f2)
 
     # ---- words for the essential / parallel tests ----
 

@@ -92,7 +92,11 @@ def parse_shapes(text):
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = json.loads(text)
-        entries = doc["shapes"]
+        entries = doc.get("shapes") if isinstance(doc, dict) else None
+        if not (isinstance(entries, list)
+                and all(isinstance(e, str) for e in entries)):
+            raise ShapeError('expected a JSON document {"shapes": [...]} '
+                             'with one string per shape')
     else:
         entries = [line.split("#", 1)[0].strip()
                    for line in text.splitlines()]

@@ -1,10 +1,17 @@
 """
 Quotient skeleton of a triangulation: edge classes, face classes, vertex
 links, and the pseudo-manifold classification.
+
+Edge classes come from tracing each edge's corner cycle.  Everything about
+the vertices comes from one breadth-first walk per vertex link over its
+corner triangles: the vertex classes, each link's side gluings, its
+orientation and a spanning tree of the link, which the spine presentation
+reads for its boundary paths.  A link's vertices are the edge-class ends at
+its vertex, which gives its Euler characteristic without a further pass.
 """
 from functools import cached_property
 
-from .triangulation import FACE_VERTICES, TET_EDGES
+from .triangulation import TET_EDGES
 
 # slot 0 holds the opposite edge pair {01, 23}, slot 1 {02, 13}, slot 2
 # {03, 12}; column 3t + s of the angle and gluing equations is slot s of
@@ -115,19 +122,45 @@ class VertexLink:
 
 class LinkStructure:
     """
-    Combinatorics of one vertex link.
+    Combinatorics of one vertex link, found by one breadth-first walk from
+    its lex-least corner triangle taking sides in increasing order.
 
-    triangles: sorted list of corner triangles (tet, vertex).
+    triangles: sorted list of corner triangles (tet, vertex); the first is
+    the basepoint of the walk.
     side_gluing: ((tet, vertex), side_face) -> ((tet', vertex'), side', sigma)
     for every glued side, where sigma is the tetrahedron gluing permutation.
     orient: triangle -> +-1 when the link is orientable (coherent triangle
-    orientations relative to the sorted corner ordering).
+    orientations relative to the sorted corner ordering), else None.
+    parent: the walk's spanning tree, triangle -> (parent triangle, side of
+    the parent crossed to reach it), None at the basepoint.
     """
 
-    def __init__(self, triangles, side_gluing, orient):
+    def __init__(self, triangles, side_gluing, orient, parent):
         self.triangles = triangles
         self.side_gluing = side_gluing
         self.orient = orient
+        self.parent = parent
+
+    def path_crossings(self, tv):
+        """Crossings (triangle, out_side) along the tree from the basepoint
+        to tv."""
+        steps = []
+        while self.parent[tv] is not None:
+            steps.append(self.parent[tv])
+            tv = self.parent[tv][0]
+        steps.reverse()
+        return steps
+
+    def cotree_sides(self):
+        """Glued sides not in the tree, one (lo, hi) pair of slots per side,
+        sorted by lo."""
+        out = []
+        for lo in sorted(self.side_gluing):
+            tv2, f2, _ = self.side_gluing[lo]
+            hi = (tv2, f2)
+            if lo < hi and self.parent[tv2] != lo and self.parent[lo[0]] != hi:
+                out.append((lo, hi))
+        return out
 
 
 class SkeletonSummary:
@@ -262,35 +295,37 @@ def _canonical_cycle(tri, corners, pivots, closed):
     return min(variants)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
-def _link_side_direction(sorted_corners, flag, side):
-    """Direction induced on an unordered side {x, y} by the triangle
-    orientation: boundary order of (w1, w2, w3) is w1->w2->w3->w1."""
-    w1, w2, w3 = sorted_corners
-    boundary = [(w1, w2), (w2, w3), (w3, w1)]
-    if flag < 0:
-        boundary = [(q, p) for p, q in boundary]
-    for p, q in boundary:
-        if {p, q} == set(side):
-            return (p, q)
-    raise ValueError("side %r not in triangle %r" % (side, sorted_corners))
+def _walk_link(tri, start):
+    """The structure of the link through corner triangle start, by a
+    breadth-first walk taking sides in increasing order."""
+    parent = {start: None}
+    orient = {start: 1}
+    side_gluing = {}
+    orientable = True
+    order = [start]
+    for tv in order:  # the queue: reached triangles append to it
+        t, v = tv
+        for f in range(4):
+            if f == v:
+                continue
+            entry = tri.gluing(t, f)
+            if entry is None:
+                continue
+            other, sigma = entry
+            tv2 = (other, sigma(v))
+            side_gluing[(tv, f)] = (tv2, sigma(f), sigma)
+            # the sorted corners of the triangle at v run with the
+            # tetrahedron's orientation times (-1)^v, and the gluing keeps
+            # coherent tetrahedron orientations iff it is odd
+            flag = -orient[tv] * sigma.sign() * (-1) ** (v + tv2[1])
+            if tv2 not in parent:
+                parent[tv2] = (tv, f)
+                orient[tv2] = flag
+                order.append(tv2)
+            elif orient[tv2] != flag:
+                orientable = False
+    return LinkStructure(sorted(order), side_gluing,
+                         orient if orientable else None, parent)
 
 
 def build_skeleton(tri):
@@ -343,53 +378,34 @@ def build_skeleton(tri):
             for slot, rep in enumerate(reps):
                 face_lookup[rep] = (index, slot)
 
-    # --- vertex classes ---
-    uf = _UnionFind([(t, v) for t in range(n) for v in range(4)])
-    for t in range(n):
-        for f in range(4):
-            entry = tri.gluing(t, f)
-            if entry is None:
-                continue
-            other, sigma = entry
-            for v in FACE_VERTICES[f]:
-                uf.union((t, v), (other, sigma(v)))
-    roots = sorted({uf.find((t, v)) for t in range(n) for v in range(4)})
+    # --- vertex classes: one walk per link, from each class's lex-least
+    # corner triangle ---
+    structures = []
     vertex_of = {}
     for t in range(n):
         for v in range(4):
-            vertex_of[(t, v)] = roots.index(uf.find((t, v)))
+            if (t, v) not in vertex_of:
+                structure = _walk_link(tri, (t, v))
+                for tv in structure.triangles:
+                    vertex_of[tv] = len(structures)
+                structures.append(structure)
+
+    # link vertices are the edge-class ends at the vertex; no edge is
+    # identified with its own reverse, so its two ends are distinct
+    link_vertices = [0] * len(structures)
+    for e in edge_classes:
+        t, (a, b) = e.corners[0]
+        link_vertices[vertex_of[(t, a)]] += 1
+        link_vertices[vertex_of[(t, b)]] += 1
 
     # --- vertex links ---
     vertex_links = []
-    for vi, root in enumerate(roots):
-        triangles = sorted(tv for tv in vertex_of if vertex_of[tv] == vi)
-        side_gluing = {}
-        boundary_sides = 0
-        for (t, v) in triangles:
-            for f in range(4):
-                if f == v:
-                    continue
-                entry = tri.gluing(t, f)
-                if entry is None:
-                    boundary_sides += 1
-                    continue
-                other, sigma = entry
-                side_gluing[((t, v), f)] = ((other, sigma(v)), sigma(f), sigma)
-
-        # link vertices: classes of edge ends (tet, v, w)
-        ends = [(t, v, w) for (t, v) in triangles for w in range(4) if w != v]
-        uf_ends = _UnionFind(ends)
-        for ((t, v), f), ((t2, v2), f2, sigma) in side_gluing.items():
-            for w in range(4):
-                if w != v and w != f:
-                    uf_ends.union((t, v, w), (t2, v2, sigma(w)))
-        link_v = len({uf_ends.find(e) for e in ends})
-        link_f = len(triangles)
-        link_e = (3 * link_f + boundary_sides) // 2
-        chi = link_v - link_e + link_f
-
-        orient = _orient_link(triangles, side_gluing)
-        orientable = orient is not None
+    for vi, structure in enumerate(structures):
+        link_f = len(structure.triangles)
+        boundary_sides = 3 * link_f - len(structure.side_gluing)
+        link_e = len(structure.side_gluing) // 2 + boundary_sides
+        chi = link_vertices[vi] - link_e + link_f
+        orientable = structure.orient is not None
         has_boundary = boundary_sides > 0
         if has_boundary:
             kind = "other"
@@ -401,7 +417,6 @@ def build_skeleton(tri):
             kind = "klein_bottle"
         else:
             kind = "other"
-        structure = LinkStructure(triangles, side_gluing, orient)
         vertex_links.append(VertexLink(vi, structure, chi, orientable, kind,
                                        has_boundary))
 
@@ -426,37 +441,3 @@ def as_skeleton(tri_or_skeleton):
     if hasattr(tri_or_skeleton, "edge_classes"):
         return tri_or_skeleton
     return build_skeleton(tri_or_skeleton)
-
-
-def _orient_link(triangles, side_gluing):
-    """BFS-assign coherent orientations to link triangles; None when the
-    link is non-orientable."""
-    orient = {}
-    for start in triangles:
-        if start in orient:
-            continue
-        orient[start] = 1
-        queue = [start]
-        while queue:
-            tv = queue.pop()
-            t, v = tv
-            corners = sorted(w for w in range(4) if w != v)
-            for f in range(4):
-                if f == v or (tv, f) not in side_gluing:
-                    continue
-                tv2, f2, sigma = side_gluing[(tv, f)]
-                side = [w for w in corners if w != f]
-                p, q = _link_side_direction(corners, orient[tv], side)
-                corners2 = sorted(w for w in range(4) if w != tv2[1])
-                side2 = [sigma(w) for w in side]
-                # (p, q) already carries this triangle's flag; the neighbour
-                # is coherent iff it induces the opposite direction
-                p2, q2 = _link_side_direction(corners2, 1, side2)
-                needed = 1 if (p2, q2) == (sigma(q), sigma(p)) else -1
-                if tv2 in orient:
-                    if orient[tv2] != needed:
-                        return None
-                else:
-                    orient[tv2] = needed
-                    queue.append(tv2)
-    return orient

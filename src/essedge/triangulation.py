@@ -341,18 +341,24 @@ def parse_json(text):
     if not isinstance(doc, dict) or "tets" not in doc:
         raise ParseError("missing 'tets' field")
     n = doc["tets"]
+    if not isinstance(n, int) or n < 0:
+        raise ParseError("'tets' must be a non-negative integer")
     raw = doc.get("gluings", [])
-    gluings = []
-    for row in raw:
-        entries = []
-        for entry in row:
-            if entry is None:
-                entries.append(None)
-            else:
-                other, images = entry
-                entries.append((other, Perm4(images)))
-        gluings.append(entries)
-    return Triangulation(n, gluings, name=doc.get("name"))
+    if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
+        raise ParseError("'gluings' must be a list of rows")
+    for t, row in enumerate(raw):
+        for f, entry in enumerate(row):
+            if entry is not None and not (
+                    isinstance(entry, list) and len(entry) == 2
+                    and isinstance(entry[0], int)
+                    and isinstance(entry[1], list)
+                    and all(isinstance(i, int) for i in entry[1])):
+                raise ParseError("gluing (%d,%d): expected null or [tet, "
+                                 "[4 vertex images]], got %r" % (t, f, entry))
+    try:
+        return Triangulation(n, raw, name=doc.get("name"))
+    except ValueError as e:
+        raise ParseError(str(e))
 
 
 def parse_triangulation(text):

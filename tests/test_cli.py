@@ -161,3 +161,27 @@ def test_budget_env_override(m136_path, capsys, monkeypatch):
 def test_missing_file(capsys):
     assert main(["validate", "/nonexistent/file.tri"]) > 2
     capsys.readouterr()
+
+
+def test_malformed_gluing_is_an_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"tets": 1, "gluings": [[5, null, null, null]]}')
+    assert main(["certify", "--strong", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_shapes_document_without_shapes_list_is_an_error(m136_path, tmp_path,
+                                                          capsys):
+    path = tmp_path / "shapes.json"
+    path.write_text('{"x": 1}')
+    assert main(["certify", "--shapes", str(path), m136_path]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["shapes", "--verify", str(path), m136_path]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_unwritable_move_output_is_an_error(fig8_path, tmp_path, capsys):
+    out_path = str(tmp_path / "missing" / "moved.json")
+    assert main(["move", "--two-three", "0", "-o", out_path,
+                 fig8_path]) == 3
+    assert capsys.readouterr().err.startswith("error:")

@@ -1,6 +1,6 @@
 import pytest
 
-from essedge import Triangulation
+from essedge import Triangulation, build_skeleton
 from essedge.fundamental import (SpineData, presentation_closed,
                                  presentation_spine, peripheral_words)
 from essedge.presentation import (homology, word_image, concat, inverse_word,
@@ -8,6 +8,7 @@ from essedge.presentation import (homology, word_image, concat, inverse_word,
 from essedge.decide import decide_word
 
 from conftest import primal_h1, dual_h1
+from test_random_properties import _pillow_outputs
 
 
 def test_q8_presentation_counts(q8_skeleton):
@@ -66,12 +67,23 @@ def test_fig8_homology_is_z(fig8_skeleton):
     assert homology(presentation_spine(fig8_skeleton)) == (0,)
 
 
-def test_rotation_loops_read_edge_relators(m136_skeleton):
+def test_rotation_loops_read_edge_relators(fig8, m136):
     """Going once around a link corner crosses exactly the faces around
     the corresponding edge, so the crossing word is the edge relator up to
-    rotation and inversion."""
-    spine = SpineData(m136_skeleton)
-    structure = m136_skeleton.vertex_links[0].structure
+    rotation and inversion: on every torus link of fig8, m136 and the 123
+    pillow outputs of m136.  The peripheral relations read one such loop
+    off each edge class."""
+    pillows = list(_pillow_outputs(m136))
+    assert len(pillows) == 123
+    for tri in [fig8, m136] + pillows:
+        skeleton = build_skeleton(tri)
+        spine = SpineData(skeleton)
+        for link in skeleton.vertex_links:
+            if link.surface_kind == "torus":
+                _check_rotation_loops(skeleton, spine, link.structure)
+
+
+def _check_rotation_loops(skeleton, spine, structure):
     for (t, v) in structure.triangles:
         for w in range(4):
             if w == v:
@@ -92,7 +104,7 @@ def test_rotation_loops_read_edge_relators(m136_skeleton):
                         t, v, w, min(sides)):
                     break
             word = spine.crossing_word(crossings)
-            e, _ = m136_skeleton.edge_lookup[(t, min(v, w), max(v, w))]
+            e, _ = skeleton.edge_lookup[(t, min(v, w), max(v, w))]
             relator = cyclic_reduce(spine.presentation.relators[e])
             variants = set()
             for base in (relator, inverse_word(relator)):

@@ -91,6 +91,46 @@ def test_partition_and_euler_invariants(corpus):
         assert skeleton.euler_characteristic() == total
 
 
+def _side_direction(tv, flag, f):
+    """The direction a corner triangle with the given orientation flag
+    induces on its side f: its sorted corners (w1, w2, w3) bound it as
+    w1 -> w2 -> w3 -> w1 for flag +1, the other way round for -1."""
+    w = sorted(u for u in range(4) if u != tv[1])
+    cycle = [(w[0], w[1]), (w[1], w[2]), (w[2], w[0])]
+    p, q = next(pq for pq in cycle if f not in pq)
+    return (p, q) if flag > 0 else (q, p)
+
+
+def test_link_walk_orientation_and_tree(corpus, m136):
+    """Over the seeded corpus and the pillow outputs of m136, each link's
+    walk yields a coherent orientation (two triangles glued along a side
+    induce opposite directions on it), a spanning tree whose every parent
+    chain is made of glued sides and ends at the basepoint, and one cotree
+    side per independent cycle of the link's dual graph."""
+    for tri in corpus + list(_pillow_outputs(m136)):
+        for link in build_skeleton(tri).vertex_links:
+            structure = link.structure
+            gluing = structure.side_gluing
+            if link.orientable:
+                orient = structure.orient
+                for (tv, f), (tv2, f2, sigma) in gluing.items():
+                    p, q = _side_direction(tv, orient[tv], f)
+                    assert _side_direction(tv2, orient[tv2], f2) == (
+                        sigma(q), sigma(p))
+            basepoint = structure.triangles[0]
+            for tv in structure.triangles:
+                steps = 0
+                while structure.parent[tv] is not None:
+                    up = structure.parent[tv]
+                    assert gluing[up][0] == tv
+                    tv = up[0]
+                    steps += 1
+                    assert steps < len(structure.triangles)
+                assert tv == basepoint
+            cycles = len(gluing) // 2 - len(structure.triangles) + 1
+            assert len(structure.cotree_sides()) == cycles
+
+
 def test_relabelling_invariance(corpus):
     rng = random.Random(99)
     for tri in corpus[:25]:
