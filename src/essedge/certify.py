@@ -231,11 +231,10 @@ class _Analysis:
         if self.closed:
             yield None, (e + 1,), (), ()
             return
-        t0, (a, b) = self.skeleton.edge_classes[e].corners[0]
-        vertex = self.spine.vertex_of_end(t0, a)
-        if vertex == self.spine.vertex_of_end(t0, b):
+        x, y = self.spine.ends[e]
+        if x.vertex == y.vertex:
             yield (None, self.spine.edge_loop_word(e),
-                   self.spine.peripheral(vertex).words, ())
+                   self.spine.peripheral(x.vertex).words, ())
 
     def pair_questions(self, i, j):
         """(flip, word, h1, h2), edges i and j being parallel exactly when

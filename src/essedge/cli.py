@@ -36,6 +36,14 @@ def _load(path):
         raise CliFailure("parse error in %s: %s" % (path, e))
 
 
+def _read_shapes(path):
+    try:
+        with open(path) as handle:
+            return parse_shapes(handle.read())
+    except OSError as e:
+        raise CliFailure("cannot read %s: %s" % (path, e))
+
+
 class CliFailure(Exception):
     pass
 
@@ -164,11 +172,7 @@ def cmd_shapes(args):
     tri = _load(args.input)
     skeleton = build_skeleton(tri)
     if args.verify:
-        try:
-            with open(args.verify) as handle:
-                shapes = parse_shapes(handle.read())
-        except OSError as e:
-            raise CliFailure("cannot read %s: %s" % (args.verify, e))
+        shapes = _read_shapes(args.verify)
         report = verify_shapes(skeleton, shapes)
         completeness = completeness_products(skeleton, shapes)
         payload = {
@@ -250,13 +254,7 @@ def cmd_certify(args):
     for m in methods:
         if m not in ALL_METHODS:
             raise CliFailure("unknown method %r" % m)
-    shapes = None
-    if args.shapes:
-        try:
-            with open(args.shapes) as handle:
-                shapes = parse_shapes(handle.read())
-        except OSError as e:
-            raise CliFailure("cannot read %s: %s" % (args.shapes, e))
+    shapes = _read_shapes(args.shapes) if args.shapes else None
     try:
         if args.strong:
             verdict = certify_strongly_essential(tri, budgets, shapes,

@@ -36,8 +36,10 @@ product table, keyed by its words, depth and node budget, is built once,
 on first use, into the presentation's `built` store and read from there
 by every later question.  Since both are deterministic, sharing changes
 no verdict or certificate.  Replay never reads the store: it enumerates
-afresh, and a "yes" coset table's cap must lie within the default
-`coset_nodes`, so a certificate cannot set how long its replay runs.
+afresh.  A certificate cannot set how long its replay runs: a "yes" coset
+table's cap must lie within the default `coset_nodes`, and a quotient
+separation's degree within the default `quotient_degree`, since replay
+builds both subgroup images in S_degree and their whole product set.
 """
 import heapq
 from itertools import groupby, permutations
@@ -573,7 +575,9 @@ def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
     Only the certificate's witness is read: an abelianisation certificate
     is recomputed, so it may omit its image.  A "yes" coset table is
     re-enumerated under its own cap, which must lie within the default
-    `coset_nodes`, so a certificate cannot set how long its replay runs."""
+    `coset_nodes`, and a quotient separation's degree must lie within the
+    default `quotient_degree`, so a certificate cannot set how long its
+    replay runs."""
     word = free_reduce(word)
     h1_words = [free_reduce(h) for h in h1_words]
     h2_words = [free_reduce(h) for h in h2_words]
@@ -615,9 +619,12 @@ def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
         return table is not None and not any(
             table.apply(c, w) == 0 for c in _orbit(table, others))
     if kind == "quotient_separation":
-        # the relators prove nothing about images that are not bijections
+        # the relators prove nothing about images that are not bijections;
+        # the closures and their product grow with n!, so n is capped
         n, images = cert.get("degree"), cert.get("images")
-        if not (isinstance(n, int) and n >= 1 and isinstance(images, list)
+        if not (type(n) is int
+                and 1 <= n <= Budget.DEFAULTS["quotient_degree"]
+                and isinstance(images, list)
                 and len(images) == presentation.generator_count
                 and all(_ints(p) and sorted(p) == list(range(n))
                         for p in images)):

@@ -16,10 +16,22 @@ Paths on a link follow the spanning tree that the skeleton's link walk
 recorded (`LinkStructure.parent`).  Going once around a link vertex crosses
 the faces around its edge class, so each edge-class end at a cusp reads
 one relation among the link's cotree cycles off the edge's pivots.
+
+Each of the 2E edge ends is recorded once (`SpineData.ends`): its vertex
+class and the word of its link-tree path, with the peripheral subgroup
+conjugated by that word built on first use.  The edge loops and the
+parallel-test instances are concatenations of these words.
 """
+from collections import namedtuple
+from functools import cached_property
+
 from .presentation import Presentation, free_reduce, inverse_word, concat
 from .skeleton import as_skeleton
 from .snf import cokernel
+
+# one end of an edge class: its vertex class, and the word of the link-tree
+# path from the link's basepoint to the end's corner triangle
+EdgeEnd = namedtuple("EdgeEnd", "vertex word")
 
 
 def presentation_closed(tri_or_skeleton):
@@ -98,6 +110,7 @@ class SpineData:
             relators.append(free_reduce(word))
         self.presentation = Presentation(self.generator_count, relators)
         self._peripheral = {}
+        self._subgroups = {}
 
     def crossing_letter(self, t, f):
         """Signed generator for crossing out of tetrahedron t through face
@@ -111,12 +124,6 @@ class SpineData:
     def crossing_word(self, crossings):
         return free_reduce([x for x in (self.crossing_letter(t, f)
                                         for (t, _v), f in crossings) if x])
-
-    def path_word(self, vertex, tv):
-        """Word of the link-tree path from the link basepoint to triangle
-        tv on the link of the given vertex class."""
-        structure = self.skeleton.vertex_links[vertex].structure
-        return self.crossing_word(structure.path_crossings(tv))
 
     # ---- peripheral generators ----
 
@@ -189,6 +196,30 @@ class SpineData:
     def vertex_of_end(self, t, v):
         return self.skeleton.vertex_of[(t, v)]
 
+    @cached_property
+    def ends(self):
+        """ends[e]: the `EdgeEnd` records of edge e, at the a and b labels
+        of its first corner (t, (a, b))."""
+        firsts = (e.corners[0] for e in self.skeleton.edge_classes)
+        return [tuple(self._end(t, v) for v in ab) for t, ab in firsts]
+
+    def _end(self, t, v):
+        vertex = self.vertex_of_end(t, v)
+        structure = self.skeleton.vertex_links[vertex].structure
+        return EdgeEnd(vertex, self.crossing_word(
+            structure.path_crossings((t, v))))
+
+    def _subgroup(self, end):
+        """The peripheral subgroup at an end's vertex conjugated by the
+        end's word (w maps to word^-1 w word), built once per end on first
+        use: a sphere link has none."""
+        if end not in self._subgroups:
+            inv = inverse_word(end.word)
+            self._subgroups[end] = tuple(
+                concat(inv, w, end.word)
+                for w in self.peripheral(end.vertex).words)
+        return self._subgroups[end]
+
     def edge_loop_word(self, edge_index):
         """
         The compact-core loop of an ideal edge whose two ends lie at the
@@ -196,21 +227,10 @@ class SpineData:
         spanning tree.  The edge arc itself crosses no faces of the spine,
         so only the two connecting paths contribute.
         """
-        e = self.skeleton.edge_classes[edge_index]
-        t0, (a, b) = e.corners[0]
-        v1 = self.vertex_of_end(t0, a)
-        v2 = self.vertex_of_end(t0, b)
-        if v1 != v2:
+        x, y = self.ends[edge_index]
+        if x.vertex != y.vertex:
             raise ValueError("edge %d joins distinct vertices" % edge_index)
-        return concat(self.path_word(v1, (t0, a)),
-                      inverse_word(self.path_word(v1, (t0, b))))
-
-    def peripheral_subgroup(self, vertex, conjugator=()):
-        """Generators of the peripheral subgroup, conjugated by the given
-        word (w maps to conjugator^-1 w conjugator)."""
-        words = self.peripheral(vertex).words
-        inv = inverse_word(conjugator)
-        return [concat(inv, w, conjugator) for w in words]
+        return concat(x.word, inverse_word(y.word))
 
     def parallel_test_data(self, edge_e, edge_f, flip):
         """
@@ -221,30 +241,15 @@ class SpineData:
         parallel to the stated edge iff word lies in <h2><h1>, or None when
         the endpoints do not match up.
         """
-        sk = self.skeleton
-        e = sk.edge_classes[edge_e]
-        f = sk.edge_classes[edge_f]
-        t0, (a0, b0) = e.corners[0]
-        t1, (af, bf) = f.corners[0]
-        if not flip:
-            # delta = -f must run from t(e) to i(e)
-            ya, yb = bf, af
-        else:
-            ya, yb = af, bf
-        v1 = self.vertex_of_end(t0, a0)
-        v2 = self.vertex_of_end(t0, b0)
-        if (self.vertex_of_end(t1, ya) != v2
-                or self.vertex_of_end(t1, yb) != v1):
+        xa, xb = self.ends[edge_e]
+        ya, yb = self.ends[edge_f]
+        if not flip:  # delta = -f must run from t(e) to i(e)
+            ya, yb = yb, ya
+        if ya.vertex != xb.vertex or yb.vertex != xa.vertex:
             return None
-        pw1_xa = self.path_word(v1, (t0, a0))
-        pw2_xb = self.path_word(v2, (t0, b0))
-        pw2_ya = self.path_word(v2, (t1, ya))
-        pw1_yb = self.path_word(v1, (t1, yb))
-        word = concat(inverse_word(pw2_xb), pw2_ya,
-                      inverse_word(pw1_yb), pw1_xa)
-        h2 = self.peripheral_subgroup(v2, pw2_xb)
-        h1 = self.peripheral_subgroup(v1, pw1_xa)
-        return word, h2, h1
+        word = concat(inverse_word(xb.word), ya.word, inverse_word(yb.word),
+                      xa.word)
+        return word, self._subgroup(xb), self._subgroup(xa)
 
 
 def _reduce_crossings(crossings, invert):

@@ -97,6 +97,14 @@ def _rebuild(tri, dying, new_count, internal, portals):
     return Triangulation(total, rows, name=tri.name), tet_map, base
 
 
+def _class_at(classes, index, kind):
+    """classes[index], or MoveError for an index that names no class."""
+    if not 0 <= index < len(classes):
+        raise MoveError("no %s class %d: there are %d" % (kind, index,
+                                                          len(classes)))
+    return classes[index]
+
+
 def pachner_2_3(tri, face_class_index, skeleton=None):
     """
     Replace the two tetrahedra glued along the given face class by three
@@ -104,7 +112,7 @@ def pachner_2_3(tri, face_class_index, skeleton=None):
     self-gluing of a single tetrahedron.
     """
     skeleton = skeleton or build_skeleton(tri)
-    fc = skeleton.face_classes[face_class_index]
+    fc = _class_at(skeleton.face_classes, face_class_index, "face")
     if len(fc.representatives) != 2:
         raise MoveError("face class %d is a boundary face" % face_class_index)
     (t0, f0), _ = fc.representatives
@@ -142,7 +150,7 @@ def pachner_3_2(tri, edge_class_index, skeleton=None):
     two tetrahedra glued along a face; inverse of pachner_2_3.
     """
     skeleton = skeleton or build_skeleton(tri)
-    e = skeleton.edge_classes[edge_class_index]
+    e = _class_at(skeleton.edge_classes, edge_class_index, "edge")
     if not e.closed or e.degree != 3:
         raise MoveError("edge class %d does not have degree 3"
                         % edge_class_index)
@@ -184,7 +192,7 @@ def pillow_0_2(tri, edge_class_index, sites, skeleton=None):
     the split edge at {2,3}.
     """
     skeleton = skeleton or build_skeleton(tri)
-    e = skeleton.edge_classes[edge_class_index]
+    e = _class_at(skeleton.edge_classes, edge_class_index, "edge")
     if not e.closed:
         raise MoveError("edge class %d is a boundary edge" % edge_class_index)
     i, j = sites
@@ -259,7 +267,7 @@ def extend_taut(tri, edge_class_index, sites, angles, skeleton=None):
     skeleton = skeleton or build_skeleton(tri)
     if not angles.is_taut():
         raise MoveError("input angle vector is not taut")
-    e = skeleton.edge_classes[edge_class_index]
+    e = _class_at(skeleton.edge_classes, edge_class_index, "edge")
     i, j = sites
     lo, hi = min(i, j), max(i, j)
     arcs = [range(lo + 1, hi + 1), [k % e.degree

@@ -2,12 +2,20 @@
 Quotient skeleton of a triangulation: edge classes, face classes, vertex
 links, and the pseudo-manifold classification.
 
-Edge classes come from tracing each edge's corner cycle.  Everything about
-the vertices comes from one breadth-first walk per vertex link over its
-corner triangles: the vertex classes, each link's side gluings, its
-orientation and a spanning tree of the link, which the spine presentation
-reads for its boundary paths.  A link's vertices are the edge-class ends at
-its vertex, which gives its Euler characteristic without a further pass.
+Each edge class is traced once, from its lex-least corner (t, (a, b)),
+a < b, and kept as the least of its rotations, reversals and flips.  A
+closed cycle's least reading starts at that corner, so it is the lesser of
+the two directions around the edge from there: the traced one, and its
+reverse read off the faces the trace entered by.  An arc (a boundary edge)
+is walked back to its far end and traced once from there, along its whole
+length; it is the least of its two directions and their flips.
+
+Everything about the vertices comes from one breadth-first walk per vertex
+link over its corner triangles: the vertex classes, each link's side
+gluings, its orientation and a spanning tree of the link, which the spine
+presentation reads for its boundary paths.  A link's vertices are the
+edge-class ends at its vertex, which gives its Euler characteristic without
+a further pass.
 """
 from functools import cached_property
 
@@ -29,7 +37,8 @@ class EdgeClass:
 
     corners is the cyclic sequence of (tet, (a, b)) incidences around the
     edge, directions coherent with a chosen orientation of the class; for a
-    boundary edge it is an arc rather than a cycle.  pivots[i] is the face
+    boundary edge it is an arc rather than a cycle.  Both are in canonical
+    reading (see the module docstring).  pivots[i] is the face
     of corners[i]'s tetrahedron crossed to reach corners[i+1] (cyclically
     for a closed edge, so pivots has length degree; length degree-1 for a
     boundary edge).
@@ -65,30 +74,6 @@ def _cycle_variants(corners):
 def cycles_match(corners1, corners2):
     """Equality of edge cycles up to rotation, reversal and orientation."""
     return tuple(corners2) in set(_cycle_variants(tuple(corners1)))
-
-
-def _edge_variants(tri, corners, pivots):
-    """All (corners, pivots) representations of a closed edge cycle:
-    rotations, traversal reversal and orientation flip."""
-    n = len(corners)
-    entries = []
-    for i in range(n):
-        t, _ = corners[i]
-        other, sigma = tri.gluing(t, pivots[i])
-        entries.append(sigma(pivots[i]))
-    # entry face of corner i (face crossed arriving there)
-    entry = [entries[(i - 1) % n] for i in range(n)]
-    rev_corners = tuple(corners[(n - j) % n] for j in range(n))
-    rev_pivots = tuple(entry[(n - j) % n] for j in range(n))
-    base = [(tuple(corners), tuple(pivots)), (rev_corners, rev_pivots)]
-    variants = []
-    for cs, ps in base:
-        flipped = tuple((t, (b, a)) for t, (a, b) in cs)
-        for seq_c, seq_p in ((cs, ps), (flipped, ps)):
-            for r in range(n):
-                variants.append((seq_c[r:] + seq_c[:r],
-                                 seq_p[r:] + seq_p[:r]))
-    return variants
 
 
 class FaceClass:
@@ -227,72 +212,55 @@ class SkeletonError(ValueError):
     pass
 
 
-def _trace_edge(tri, t0, a0, b0):
+def _walk_edge(tri, t, a, b, pivot):
     """
-    Walk the corner cycle of the edge through (t0, a0->b0).
+    Walk around an edge from corner (t, (a, b)), crossing pivot first,
+    until the walk returns to that corner or meets the boundary.
 
-    Returns (corners, pivots, closed).  Raises SkeletonError if the walk
-    identifies the edge with itself reversing orientation (not a
-    pseudo-manifold).
+    Returns (corners, pivots, entries, closed), where entries[i] is the
+    face that pivots[i] is glued to, the one crossed to arrive at the next
+    corner.  Raises SkeletonError if the walk identifies the edge with
+    itself reversing orientation (not a pseudo-manifold).
     """
-    others = [v for v in range(4) if v not in (a0, b0)]
+    corners, pivots, entries = [], [], []
     seen = set()
-
-    def walk(t, a, b, pivot):
-        corners, pivots = [], []
-        while True:
-            if (t, a, b) in seen:
-                return corners, pivots, True
-            if (t, b, a) in seen:
-                raise SkeletonError(
-                    "edge through (%d, %d%d) is identified with itself "
-                    "reversing orientation" % (t, a, b))
-            seen.add((t, a, b))
-            corners.append((t, (a, b)))
-            entry = tri.gluing(t, pivot)
-            if entry is None:
-                return corners, pivots, False
-            pivots.append(pivot)
-            other, sigma = entry
-            na, nb = sigma(a), sigma(b)
-            came_in = sigma(pivot)
-            next_pivot = [v for v in range(4) if v not in (na, nb, came_in)][0]
-            t, a, b, pivot = other, na, nb, next_pivot
-
-    first, first_pivots, closed = walk(t0, a0, b0, others[0])
-    if closed:
-        return first, first_pivots, True
-    # boundary edge: walk the other way and prepend; the combined forward
-    # pivots along the prepended part are the entry faces of the back walk
-    seen.discard((t0, a0, b0))
-    back, back_pivots, closed2 = walk(t0, a0, b0, others[1])
-    if closed2:
-        raise SkeletonError("inconsistent edge trace at (%d, %d%d)"
-                            % (t0, a0, b0))
-    tail = [(t, (b, a)) for t, (a, b) in reversed(back[1:])]
-    tail_pivots = []
-    for j in range(len(back_pivots) - 1, -1, -1):
-        t, _ = back[j]
-        _, sigma = tri.gluing(t, back_pivots[j])
-        tail_pivots.append(sigma(back_pivots[j]))
-    return tail + first, tail_pivots + first_pivots, False
+    while (t, a, b) not in seen:
+        if (t, b, a) in seen:
+            raise SkeletonError(
+                "edge through (%d, %d%d) is identified with itself "
+                "reversing orientation" % (t, a, b))
+        seen.add((t, a, b))
+        corners.append((t, (a, b)))
+        entry = tri.gluing(t, pivot)
+        if entry is None:
+            return corners, pivots, entries, False
+        other, sigma = entry
+        came_in = sigma(pivot)
+        pivots.append(pivot)
+        entries.append(came_in)
+        t, a, b = other, sigma(a), sigma(b)
+        pivot = 6 - a - b - came_in  # the fourth vertex, as 0+1+2+3 = 6
+    return corners, pivots, entries, True
 
 
-def _canonical_cycle(tri, corners, pivots, closed):
-    if closed:
-        return min(_edge_variants(tri, corners, pivots))
-    fwd = (tuple(corners), tuple(pivots))
-    # reversed arc: pivots become entry faces, read backwards
-    entries = []
-    for i, p in enumerate(pivots):
-        t, _ = corners[i]
-        _, sigma = tri.gluing(t, p)
-        entries.append(sigma(p))
-    rev_plain = (tuple(reversed(corners)), tuple(reversed(entries)))
-    variants = [fwd, rev_plain]
-    for cs, ps in (fwd, rev_plain):
-        variants.append((tuple((t, (b, a)) for t, (a, b) in cs), ps))
-    return min(variants)
+def _trace_edge(tri, t0, a0, b0):
+    """The canonical (corners, pivots, closed) of the edge class whose
+    lex-least corner is (t0, (a0, b0)), a0 < b0 (see the module
+    docstring)."""
+    c, d = [v for v in range(4) if v not in (a0, b0)]
+    corners, pivots, entries, closed = _walk_edge(tri, t0, a0, b0, c)
+    if closed:  # the traced direction, or its reverse along the entries
+        reverse = (corners[:1] + corners[:0:-1], entries[::-1])
+        return min((corners, pivots), reverse) + (True,)
+    # an arc: walk back to its far end, and trace it once from there
+    back, _, back_entries, _ = _walk_edge(tri, t0, a0, b0, d)
+    t, (a, b) = back[-1]
+    corners, pivots, entries, _ = _walk_edge(
+        tri, t, a, b, back_entries[-1] if back_entries else c)
+    readings = [(corners, pivots), (corners[::-1], entries[::-1])]
+    readings += [([(t, (b, a)) for t, (a, b) in cs], ps)
+                 for cs, ps in readings]
+    return min(readings) + (False,)
 
 
 def _walk_link(tri, start):
@@ -343,20 +311,18 @@ def build_skeleton(tri):
             v[3] for v in hard))
     n = tri.tet_count
 
-    # --- edge classes by orbit tracing ---
+    # --- edge classes, each traced from its lex-least corner: the first
+    # corner of it met in (tet, TET_EDGES) order ---
     edge_classes = []
     edge_lookup = {}
-    traced = set()
     for t in range(n):
         for a, b in TET_EDGES:
-            if (t, a, b) in traced or (t, b, a) in traced:
+            if (t, a, b) in edge_lookup:
                 continue
             corners, pivots, closed = _trace_edge(tri, t, a, b)
-            corners, pivots = _canonical_cycle(tri, corners, pivots, closed)
             index = len(edge_classes)
             edge_classes.append(EdgeClass(index, corners, pivots, closed))
             for tt, (aa, bb) in corners:
-                traced.add((tt, aa, bb))
                 edge_lookup[(tt, aa, bb)] = (index, 1)
                 edge_lookup[(tt, bb, aa)] = (index, -1)
 

@@ -185,3 +185,10 @@ def test_unwritable_move_output_is_an_error(fig8_path, tmp_path, capsys):
     assert main(["move", "--two-three", "0", "-o", out_path,
                  fig8_path]) == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_move_site_out_of_range_is_an_error(fig8_path, capsys):
+    for site in (["--two-three", "999"], ["--two-three=-1"],
+                 ["--three-two", "99"], ["--zero-two", "99,0,1"]):
+        assert main(["move"] + site + [fig8_path]) == 3
+        assert capsys.readouterr().err.startswith("error:")

@@ -411,6 +411,30 @@ def test_quotient_replay_needs_permutation_images():
             z2, (), (), words("a"), GroupVerdict("no", malformed))
 
 
+def test_quotient_replay_caps_the_degree_by_the_default_budget(monkeypatch):
+    """A quotient separation replays only up to the default
+    `quotient_degree`: in F2 with H1 = H2 = <a, b> every word is a member,
+    and forged images (0 1), (0 1 ... n-1) generate S_n, whose closures
+    and product set replay would build in n! steps.  Degrees 6 and 7 are
+    refused before any closure is built."""
+    closures = []
+
+    def closure(images, n):
+        closures.append(n)
+        return set()
+
+    monkeypatch.setattr(essedge.decide, "subgroup_closure", closure)
+    h = [words("a"), words("b")]
+    for n in (6, 7):
+        images = [[1, 0] + list(range(2, n)), list(range(1, n)) + [0]]
+        forged = {"kind": "quotient_separation", "degree": n,
+                  "images": images}
+        assert not replay_double_coset_verdict(FREE2, h, h, words("a"),
+                                               GroupVerdict("no", forged))
+    assert closures == []
+    assert Budget.DEFAULTS["quotient_degree"] == 5
+
+
 def test_quotient_search_memory_stays_small():
     """The permutations of each degree are generated level by level, not
     listed up front, so a degree the node budget cuts short costs little

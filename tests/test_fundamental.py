@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 
 from essedge import Triangulation, build_skeleton
+from essedge.skeleton import LinkStructure
 from essedge.fundamental import (SpineData, presentation_closed,
                                  presentation_spine, peripheral_words)
 from essedge.presentation import (homology, word_image, concat, inverse_word,
@@ -151,6 +154,72 @@ def test_parallel_test_data_shape(m136_skeleton):
     assert data is not None
     word, h2, h1 = data
     assert len(h1) == 2 and len(h2) == 2
+
+
+def _path_word(spine, tv):
+    """The word of the link-tree path from the basepoint of tv's link to
+    corner triangle tv, walked afresh."""
+    skeleton = spine.skeleton
+    structure = skeleton.vertex_links[skeleton.vertex_of[tv]].structure
+    return spine.crossing_word(structure.path_crossings(tv))
+
+
+def _conjugated(spine, vertex, conjugator):
+    inv = inverse_word(conjugator)
+    return [concat(inv, w, conjugator) for w in spine.peripheral(vertex).words]
+
+
+def test_end_records_match_link_tree_walks(m136, fig8):
+    """Over fig8, m136 and the 123 pillow outputs of m136, the edge loops
+    and the parallel-test instances read off the end records equal those
+    built from link-tree paths walked for each question."""
+    for tri in [fig8, m136] + list(_pillow_outputs(m136)):
+        spine = SpineData(build_skeleton(tri))
+        vertex_of = spine.skeleton.vertex_of
+        edges = spine.skeleton.edge_classes
+        for e in edges:
+            t, (a, b) = e.corners[0]
+            if vertex_of[(t, a)] != vertex_of[(t, b)]:
+                with pytest.raises(ValueError):
+                    spine.edge_loop_word(e.index)
+                continue
+            assert spine.edge_loop_word(e.index) == concat(
+                _path_word(spine, (t, a)),
+                inverse_word(_path_word(spine, (t, b))))
+        for e, f, flip in product(edges, edges, (False, True)):
+            t0, (a0, b0) = e.corners[0]
+            t1, (af, bf) = f.corners[0]
+            xa, xb = (t0, a0), (t0, b0)
+            ya, yb = ((t1, af), (t1, bf)) if flip else ((t1, bf), (t1, af))
+            data = spine.parallel_test_data(e.index, f.index, flip)
+            if (vertex_of[ya] != vertex_of[xb]
+                    or vertex_of[yb] != vertex_of[xa]):
+                assert data is None
+                continue
+            word, h2, h1 = data
+            assert word == concat(
+                inverse_word(_path_word(spine, xb)), _path_word(spine, ya),
+                inverse_word(_path_word(spine, yb)), _path_word(spine, xa))
+            assert list(h2) == _conjugated(spine, vertex_of[xb],
+                                           _path_word(spine, xb))
+            assert list(h1) == _conjugated(spine, vertex_of[xa],
+                                           _path_word(spine, xa))
+
+
+def test_pair_questions_walk_no_link_tree_path(m136_skeleton, monkeypatch):
+    """Once the end records and the peripheral pair exist, every
+    parallel-test instance is read off them."""
+    spine = SpineData(m136_skeleton)
+    spine.ends, spine.peripheral(0)
+
+    def walked(self, tv):
+        raise AssertionError("walked a link-tree path to %r" % (tv,))
+
+    monkeypatch.setattr(LinkStructure, "path_crossings", walked)
+    count = m136_skeleton.edge_count
+    for i, j, flip in product(range(count), range(count), (False, True)):
+        assert spine.parallel_test_data(i, j, flip) is not None
+        spine.edge_loop_word(i)
 
 
 def test_parallel_word_invariance_under_connector_choice(m136_skeleton):

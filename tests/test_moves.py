@@ -86,6 +86,28 @@ def test_two_three_rejects_self_gluing():
         pachner_2_3(tri, face, skeleton)
 
 
+def test_two_three_rejects_out_of_range_face(fig8, fig8_skeleton):
+    for index in (fig8_skeleton.face_count, -1):
+        with pytest.raises(MoveError):
+            pachner_2_3(fig8, index, fig8_skeleton)
+
+
+def test_three_two_rejects_out_of_range_edge(fig8, fig8_skeleton):
+    # the 2-3 output has a degree-3 edge that -1 could wrap round to
+    out, _ = pachner_2_3(fig8, 0, fig8_skeleton)
+    skeleton = build_skeleton(out)
+    assert 3 in skeleton.degrees()
+    for index in (skeleton.edge_count, -1):
+        with pytest.raises(MoveError):
+            pachner_3_2(out, index, skeleton)
+
+
+def test_pillow_rejects_out_of_range_edge(m136, m136_skeleton):
+    for index in (m136_skeleton.edge_count, -1):
+        with pytest.raises(MoveError):
+            pillow_0_2(m136, index, (0, 1), m136_skeleton)
+
+
 def test_pillow_produces_degree_two_and_split(m136, m136_skeleton):
     out, record = pillow_0_2(m136, 0, (0, 1), m136_skeleton)
     assert out.validate().valid

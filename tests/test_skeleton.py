@@ -1,7 +1,12 @@
+import random
+
 import pytest
 
 from essedge import (Triangulation, Perm4, build_skeleton, cycles_match,
                      SkeletonError)
+from essedge.moves import pachner_2_3, MoveError
+
+from test_random_properties import _pillow_outputs, random_closed_triangulation
 
 # Edge cycles of the m136 triangulation, degrees 4,4,10,10,6,4,4
 M136_CYCLES = [
@@ -121,3 +126,90 @@ def test_euler_characteristic_identity(m136_skeleton, q8_skeleton,
         total = sum(1 - link.euler_characteristic / 2
                     for link in skeleton.vertex_links)
         assert skeleton.euler_characteristic() == total
+
+
+def _entries(tri, corners, pivots):
+    """The face each pivot is glued to: the one crossed to arrive at the
+    next corner."""
+    out = []
+    for (t, _), pivot in zip(corners, pivots):
+        _, sigma = tri.gluing(t, pivot)
+        out.append(sigma(pivot))
+    return out
+
+
+def _cycle_readings(tri, corners, pivots):
+    """Every (corners, pivots) reading of a closed edge cycle: each
+    rotation of the cycle and of its reverse, whose pivots are the entry
+    faces, and of the orientation flips of both."""
+    n = len(corners)
+    entry = _entries(tri, corners, pivots)
+    reverse = (tuple(corners[(n - j) % n] for j in range(n)),
+               tuple(entry[(n - j) % n - 1] for j in range(n)))
+    readings = []
+    for cs, ps in ((corners, pivots), reverse):
+        flipped = tuple((t, (b, a)) for t, (a, b) in cs)
+        for seq in (cs, flipped):
+            for r in range(n):
+                readings.append((seq[r:] + seq[:r], ps[r:] + ps[:r]))
+    return readings
+
+
+def test_closed_cycles_are_their_least_reading(m136, fig8, q8):
+    """Over the seeded corpus, the pillow outputs of m136 and the 2-3
+    neighbours of the fixtures, every closed edge class is the least of
+    all rotations, reversals and flips of its cycle."""
+    rng = random.Random(20260808)
+    inputs = [random_closed_triangulation(rng) for _ in range(100)]
+    inputs += list(_pillow_outputs(m136))
+    for tri in (m136, fig8, q8):
+        skeleton = build_skeleton(tri)
+        for fc in skeleton.face_classes:
+            try:
+                inputs.append(pachner_2_3(tri, fc.index, skeleton)[0])
+            except MoveError:
+                continue
+    for tri in inputs:
+        for e in build_skeleton(tri).edge_classes:
+            assert e.closed
+            assert (e.corners, e.pivots) == min(
+                _cycle_readings(tri, e.corners, e.pivots))
+
+
+def _unglued(tri, t, f):
+    """The triangulation with face (t, f) and its partner unglued."""
+    rows = [[tri.gluing(s, g) for g in range(4)]
+            for s in range(tri.tet_count)]
+    other, sigma = rows[t][f]
+    rows[t][f] = rows[other][sigma(f)] = None
+    return Triangulation(tri.tet_count, rows)
+
+
+def test_arcs_follow_their_pivots_and_are_least(m136, fig8, q8):
+    """Ungluing any one face pair of m136, fig8 or q8 cuts edge cycles into
+    arcs.  Each arc runs from the boundary to the boundary, its corners
+    follow its pivots, and it is the least of its two directions and
+    their flips."""
+    arcs = 0
+    for tri in (m136, fig8, q8):
+        for fc in build_skeleton(tri).face_classes:
+            cut = _unglued(tri, *fc.representatives[0])
+            for e in build_skeleton(cut).edge_classes:
+                if e.closed:
+                    continue
+                arcs += 1
+                entry = _entries(cut, e.corners, e.pivots)
+                for i, (t, (a, b)) in enumerate(e.corners[:-1]):
+                    other, sigma = cut.gluing(t, e.pivots[i])
+                    assert e.corners[i + 1] == (other, (sigma(a), sigma(b)))
+                # the faces at either end that the arc does not cross
+                for (t, ab), crossed in ((e.corners[0], e.pivots[:1]),
+                                         (e.corners[-1], entry[-1:])):
+                    assert all(cut.gluing(t, f) is None for f in range(4)
+                               if f not in ab + tuple(crossed))
+                readings = [(e.corners, e.pivots),
+                            (e.corners[::-1], tuple(entry[::-1]))]
+                readings += [(tuple((t, (b, a)) for t, (a, b) in cs), ps)
+                             for cs, ps in readings]
+                assert (e.corners, e.pivots) == min(readings)
+    assert arcs == 66
