@@ -17,10 +17,9 @@ from .coset import CosetTable, coset_enumeration
 from .decide import (Budget, GroupVerdict, decide_word, decide_membership,
                      decide_double_coset)
 from .gaussian import GaussianRational, parse_gaussian
-from .shapes import (ShapeAssignment, GluingSystem, ShapeError, NewtonError,
-                     parse_shapes, build_gluing_system, verify_shapes,
-                     completeness_products, solve_shapes_newton,
-                     shapes_to_angles)
+from .shapes import (ShapeAssignment, ShapeError, NewtonError, parse_shapes,
+                     verify_shapes, completeness_products,
+                     solve_shapes_newton, shapes_to_angles)
 from .develop import DevelopReport, develop_and_scan
 from .certify import (EdgeVerdict, TriangulationVerdict, CertifyError,
                       certify_essential, certify_strongly_essential)
@@ -38,10 +37,9 @@ __all__ = [
     "presentation_closed", "presentation_spine", "peripheral_words",
     "CosetTable", "coset_enumeration", "Budget", "GroupVerdict",
     "decide_word", "decide_membership", "decide_double_coset",
-    "GaussianRational", "parse_gaussian", "ShapeAssignment", "GluingSystem",
-    "ShapeError", "NewtonError", "parse_shapes", "build_gluing_system",
-    "verify_shapes", "completeness_products", "solve_shapes_newton",
-    "shapes_to_angles", "DevelopReport", "develop_and_scan", "EdgeVerdict",
-    "TriangulationVerdict", "CertifyError", "certify_essential",
-    "certify_strongly_essential",
+    "GaussianRational", "parse_gaussian", "ShapeAssignment", "ShapeError",
+    "NewtonError", "parse_shapes", "verify_shapes", "completeness_products",
+    "solve_shapes_newton", "shapes_to_angles", "DevelopReport",
+    "develop_and_scan", "EdgeVerdict", "TriangulationVerdict",
+    "CertifyError", "certify_essential", "certify_strongly_essential",
 ]

@@ -52,6 +52,8 @@ from .skeleton import as_skeleton
 from .gaussian import GaussianRational
 
 ALL_METHODS = ("angle", "homology", "geometry", "group")
+# the largest denominator of a rationalised Newton coordinate
+MAX_DENOMINATOR = 10 ** 6
 
 
 class EdgeVerdict:
@@ -124,8 +126,8 @@ def _aggregate(values):
     return "unknown"
 
 
-def _rationalize(value, max_denominator=10 ** 6):
-    return Fraction(value).limit_denominator(max_denominator)
+def _rationalize(value):
+    return Fraction(value).limit_denominator(MAX_DENOMINATOR)
 
 
 def _exact_shapes(spine, shapes, log):
@@ -135,11 +137,7 @@ def _exact_shapes(spine, shapes, log):
     overlap its neighbours, which the flat-cluster scan assumes away, so
     such a solution is skipped."""
     if shapes is not None:
-        shapes = as_shapes(shapes, spine.skeleton)
-        if not shapes.exact:
-            log.append("geometry: supplied shapes are floating; skipped")
-            return None
-        candidate = shapes
+        candidate = as_shapes(shapes, spine.skeleton)
     else:
         try:
             approx = solve_shapes_newton(spine)
@@ -149,7 +147,7 @@ def _exact_shapes(spine, shapes, log):
         try:
             candidate = ShapeAssignment([
                 GaussianRational(_rationalize(z.real), _rationalize(z.imag))
-                for z in approx.as_complex()])
+                for z in approx])
         except ShapeError:
             log.append("geometry: rationalisation degenerate; skipped")
             return None

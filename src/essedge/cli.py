@@ -103,6 +103,8 @@ def cmd_angles(args):
     tri = _load(args.input)
     skeleton = build_skeleton(tri)
     if args.taut:
+        if args.limit is not None and args.limit < 1:
+            raise CliFailure("--limit must be at least 1")
         found = enumerate_taut(skeleton, limit=args.limit)
         payload = {"taut_count": len(found),
                    "taut": [[_fraction_str(x) for x in tv.entries]
@@ -197,11 +199,10 @@ def cmd_shapes(args):
         _emit(args, {"status": "failed", "error": str(e)},
               "newton failed: %s" % e)
         return 1
-    zs = solution.as_complex()
     payload = {"status": "converged",
-               "shapes": [[z.real, z.imag] for z in zs]}
+               "shapes": [[z.real, z.imag] for z in solution]}
     text = "\n".join("tet %d: %.15g + %.15gi" % (t, z.real, z.imag)
-                     for t, z in enumerate(zs))
+                     for t, z in enumerate(solution))
     _emit(args, payload, text)
     return 0
 

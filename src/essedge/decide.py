@@ -51,7 +51,8 @@ from .coset import coset_enumeration
 
 
 class Budget:
-    """Search budgets; unknown keys are rejected to keep CLI specs honest."""
+    """Search budgets, ints >= 0; unknown keys are rejected to keep CLI
+    specs honest."""
 
     DEFAULTS = {
         "coset_nodes": 20000,
@@ -64,9 +65,12 @@ class Budget:
     }
 
     def __init__(self, **kwargs):
-        for key in kwargs:
+        for key, value in kwargs.items():
             if key not in self.DEFAULTS:
                 raise ValueError("unknown budget key %r" % key)
+            if type(value) is not int or value < 0:
+                raise ValueError("budget %s must be an int >= 0, not %r"
+                                 % (key, value))
         vars(self).update(self.DEFAULTS, **kwargs)
 
     @classmethod

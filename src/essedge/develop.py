@@ -242,11 +242,9 @@ def develop_and_scan(report):
     """
     The scan of every flat cluster of the shapes of a verify_shapes
     report, each from its one development.  Raises ShapeError unless the
-    shapes are exact and the report passed, or if a developed instance's
-    cross-ratios differ from its shapes.
+    report passed, or if a developed instance's cross-ratios differ from
+    its shapes.
     """
-    if not report.exact:
-        raise ShapeError("the development needs exact shapes")
     if not report.passed:
         raise ShapeError("shape assignment fails the edge equations")
     skeleton = report.skeleton

@@ -20,7 +20,9 @@ one relation among the link's cotree cycles off the edge's pivots.
 Each of the 2E edge ends is recorded once (`SpineData.ends`): its vertex
 class and the word of its link-tree path, with the peripheral subgroup
 conjugated by that word built on first use.  The edge loops and the
-parallel-test instances are concatenations of these words.
+parallel-test instances are concatenations of these words.  A torus link's
+peripheral system holds two generator words and their crossing cycles,
+which the cusp rows of the gluing equations read.
 """
 from collections import namedtuple
 from functools import cached_property
@@ -59,15 +61,9 @@ def presentation_closed(tri_or_skeleton):
     return Presentation(len(skeleton.edge_classes), relators)
 
 
-class PeripheralSystem:
-    """The two chosen peripheral generators of a torus link: their words in
-    the spine presentation and the underlying crossing cycles."""
-
-    def __init__(self, vertex, basepoint, words, curves):
-        self.vertex = vertex
-        self.basepoint = basepoint
-        self.words = words
-        self.curves = curves
+# the two chosen peripheral generators of a torus link: their words in the
+# spine presentation and the underlying crossing cycles
+PeripheralSystem = namedtuple("PeripheralSystem", "words curves")
 
 
 class SpineData:
@@ -188,8 +184,7 @@ class SpineData:
             # reduced to its geodesic-like core
             words.append(self.crossing_word(crossings))
             curves.append(_reduce_crossings(crossings, invert))
-        return PeripheralSystem(vertex, structure.triangles[0], tuple(words),
-                                tuple(curves))
+        return PeripheralSystem(tuple(words), tuple(curves))
 
     # ---- words for the essential / parallel tests ----
 

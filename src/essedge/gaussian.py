@@ -113,14 +113,17 @@ def parse_gaussian(text):
     terms.append(s[start:])
     re = Fraction(0)
     im = Fraction(0)
-    for term in terms:
-        if term.endswith("i"):
-            body = term[:-1]
-            if body in ("", "+", "-"):
-                body += "1"
-            im += Fraction(body)
-        else:
-            re += Fraction(term)
+    try:
+        for term in terms:
+            if term.endswith("i"):
+                body = term[:-1]
+                if body in ("", "+", "-"):
+                    body += "1"
+                im += Fraction(body)
+            else:
+                re += Fraction(term)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
     return GaussianRational(re, im)
 
 

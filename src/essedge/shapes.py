@@ -1,27 +1,30 @@
 """
-Thurston gluing equations: exponent system construction, exact
-verification of Gaussian-rational shape assignments, Newton solving of the
-log-form equations, and the bridge from shapes to angle structures.
+Thurston gluing equations: exact verification of Gaussian-rational shape
+assignments, Newton solving of the log-form equations, and the bridge from
+shapes to angle structures.
 
 Shape slot convention, validated by the exact edge products of the bundled
 fixtures: z at the {01, 23} edge pair, 1/(1-z) at {02, 13}, 1-1/z at
 {03, 12}.
 
-Each fact is derived in one place and read everywhere.  `slot_values`
-alone applies the convention, and a ShapeAssignment derives its table of
-3n slot values with it on first use.  The edge rows are the skeleton's
-edge-slot incidence, which the angle equations share.  `_row_product`
-evaluates an edge or cusp equation on the slot table, and `as_shapes`
-coerces and length-checks every shape input.  `verify_shapes` alone checks
-the edge equations; its ShapeReport, which carries the skeleton and the
-shapes, is what the flat-cluster scan and `shapes_to_angles` read.
+Each fact is derived in one place and read everywhere.  A ShapeAssignment
+holds exact shapes only; Newton returns plain complex numbers, which the
+certifier rationalises.  `slot_values` alone applies the convention, to
+both, and a ShapeAssignment derives its table of 3n slot values with it
+on first use.  `_gluing_equations` alone builds the rows: the skeleton's
+edge-slot incidence, which the angle equations share, then one cusp row
+per peripheral curve.  `_row_product` evaluates a row exactly on the slot
+table, and `as_shapes` coerces and length-checks every shape input.
+`verify_shapes` alone checks the edge equations; its ShapeReport, which
+carries the skeleton and the shapes, is what the flat-cluster scan and
+`shapes_to_angles` read.
 """
 import cmath
 import math
 from functools import cached_property
 
 from .fundamental import SpineData
-from .gaussian import GaussianRational, as_gaussian, parse_gaussian, ONE
+from .gaussian import as_gaussian, parse_gaussian, ONE
 from .skeleton import as_skeleton, slot_of
 
 
@@ -36,18 +39,18 @@ class NewtonError(RuntimeError):
 def slot_values(z):
     """The slot values (z, 1/(1-z), 1-1/z) of a shape z, exact for a
     GaussianRational."""
-    one = ONE if isinstance(z, GaussianRational) else 1.0
-    return z, one / (one - z), one - one / z
+    return z, 1 / (1 - z), 1 - 1 / z
 
 
 class ShapeAssignment:
-    """One shape per tetrahedron, exact GaussianRational or complex float,
-    with its slot values derived once, on first use."""
+    """One exact GaussianRational shape per tetrahedron, with its slot
+    values derived once, on first use."""
 
     def __init__(self, shapes):
-        self.shapes = tuple(z if isinstance(z, complex) else as_gaussian(z)
-                            for z in shapes)
-        self.exact = all(isinstance(z, GaussianRational) for z in self.shapes)
+        try:
+            self.shapes = tuple(as_gaussian(z) for z in shapes)
+        except TypeError as e:
+            raise ShapeError("shapes must be exact: %s" % e) from None
         for t, z in enumerate(self.shapes):
             if z == 0 or z == 1:
                 raise ShapeError("tetrahedron %d has degenerate shape %r"
@@ -66,20 +69,9 @@ class ShapeAssignment:
         """The argument of each slot value, in pi-units."""
         return tuple(_slot_argument(w) for w in self.slots)
 
-    def slot_value(self, tet, slot):
-        return self.slots[3 * tet + slot]
-
     def flat_set(self):
         """Tetrahedra whose shape has zero imaginary part."""
-        out = []
-        for t, z in enumerate(self.shapes):
-            im = z.im if isinstance(z, GaussianRational) else z.imag
-            if im == 0:
-                out.append(t)
-        return out
-
-    def as_complex(self):
-        return [complex(z) for z in self.shapes]
+        return [t for t, z in enumerate(self.shapes) if z.im == 0]
 
     def __repr__(self):
         return "ShapeAssignment(%s)" % (list(self.shapes),)
@@ -115,74 +107,59 @@ def as_shapes(shapes, skeleton):
     return shapes
 
 
-class GluingSystem:
+def _gluing_equations(tri_or_skeleton):
     """
-    Exponent data of the gluing and completeness equations: edge_rows[e]
-    and cusp_rows[k] are integer vectors of length 3n (slot order as in
-    the angle system); edge equations demand slot-value products equal 1
-    with argument sum 2 pi, cusp equations log-holonomy 0.
+    The skeleton and the log-form gluing and completeness equations: the
+    rows, integer vectors of length 3n in slot order, and their right-hand
+    sides.  The edge rows come first, each demanding that its slot values'
+    logarithms sum to 2 pi i; then one cusp row per peripheral curve of
+    each vertex link, demanding log-holonomy 0.  Raises ShapeError unless
+    every link is a torus, so that every edge is interior.
     """
-
-    def __init__(self, tri_or_skeleton):
-        spine = (tri_or_skeleton if isinstance(tri_or_skeleton, SpineData)
-                 else SpineData(tri_or_skeleton))
-        skeleton = spine.skeleton
-        self.skeleton = skeleton
-        self.columns = 3 * skeleton.triangulation.tet_count
-        # with every vertex link a torus every edge is interior, so these
-        # are the rows of all the edge classes
-        self.edge_rows = skeleton.edge_rows
-        self.cusp_rows = []
-        for link in skeleton.vertex_links:
-            if link.surface_kind != "torus":
-                raise ShapeError("vertex %d link is a %s, not a torus"
-                                 % (link.index, link.surface_kind))
-            peripheral = spine.peripheral(link.index)
-            for curve in peripheral.curves:
-                self.cusp_rows.append(self._curve_row(link, curve))
-
-    def _curve_row(self, link, curve):
-        """Exponent row of a peripheral curve: each corner the curve cuts
-        contributes the slot of that corner, signed by turn handedness in
-        the link's chosen orientation."""
-        structure = link.structure
-        orient = structure.orient
-        row = [0] * self.columns
-        m = len(curve)
-        for k in range(m):
-            tv, out_side = curve[(k + 1) % m]
-            prev_tv, prev_out = curve[k]
-            tv_in, f_in, _sigma = structure.side_gluing[(prev_tv, prev_out)]
-            if tv_in != tv:
-                raise ShapeError("peripheral curve is not contiguous")
-            t, v = tv
-            w = 6 - v - f_in - out_side
-            corners = sorted(u for u in range(4) if u != v)
-            i = corners.index(w)
-            nxt = corners[(i + 1) % 3]
-            prv = corners[(i - 1) % 3]
-            if orient[tv] < 0:
-                nxt, prv = prv, nxt
-            # boundary orientation passes corner w from side(next) to
-            # side(prev); agreeing turns count +1
-            sign = 1 if (f_in, out_side) == (nxt, prv) else -1
-            row[3 * t + slot_of(v, w)] += sign
-        return row
-
-    @property
-    def rows(self):
-        return self.edge_rows + self.cusp_rows
-
-    def targets(self):
-        """Log-equation right-hand sides: 2 pi i for edge rows, 0 for cusp
-        rows."""
-        two_pi_i = complex(0.0, 2.0 * math.pi)
-        return ([two_pi_i] * len(self.edge_rows)
-                + [0j] * len(self.cusp_rows))
+    spine = (tri_or_skeleton if isinstance(tri_or_skeleton, SpineData)
+             else SpineData(tri_or_skeleton))
+    skeleton = spine.skeleton
+    columns = 3 * skeleton.triangulation.tet_count
+    cusp_rows = []
+    for link in skeleton.vertex_links:
+        if link.surface_kind != "torus":
+            raise ShapeError("vertex %d link is a %s, not a torus"
+                             % (link.index, link.surface_kind))
+        for curve in spine.peripheral(link.index).curves:
+            cusp_rows.append(_curve_row(link, curve, columns))
+    edge_rows = skeleton.edge_rows
+    targets = ([complex(0.0, 2.0 * math.pi)] * len(edge_rows)
+               + [0j] * len(cusp_rows))
+    return skeleton, edge_rows + cusp_rows, targets
 
 
-def build_gluing_system(tri_or_skeleton):
-    return GluingSystem(tri_or_skeleton)
+def _curve_row(link, curve, columns):
+    """Exponent row of a peripheral curve: each corner the curve cuts
+    contributes the slot of that corner, signed by turn handedness in the
+    link's chosen orientation."""
+    structure = link.structure
+    orient = structure.orient
+    row = [0] * columns
+    m = len(curve)
+    for k in range(m):
+        tv, out_side = curve[(k + 1) % m]
+        prev_tv, prev_out = curve[k]
+        tv_in, f_in, _sigma = structure.side_gluing[(prev_tv, prev_out)]
+        if tv_in != tv:
+            raise ShapeError("peripheral curve is not contiguous")
+        t, v = tv
+        w = 6 - v - f_in - out_side
+        corners = sorted(u for u in range(4) if u != v)
+        i = corners.index(w)
+        nxt = corners[(i + 1) % 3]
+        prv = corners[(i - 1) % 3]
+        if orient[tv] < 0:
+            nxt, prv = prv, nxt
+        # boundary orientation passes corner w from side(next) to
+        # side(prev); agreeing turns count +1
+        sign = 1 if (f_in, out_side) == (nxt, prv) else -1
+        row[3 * t + slot_of(v, w)] += sign
+    return row
 
 
 class ShapeReport:
@@ -192,13 +169,10 @@ class ShapeReport:
         self.edge_products = edge_products
         self.edge_argument_sums = edge_argument_sums
         self.flat = shapes.flat_set()
-        self.exact = shapes.exact
 
     @property
     def products_ok(self):
-        if self.exact:
-            return all(p == 1 for p in self.edge_products)
-        return all(abs(p - 1) < 1e-9 for p in self.edge_products)
+        return all(p == 1 for p in self.edge_products)
 
     def arguments_ok(self):
         return all(abs(s - 2.0) < 1e-9 / math.pi
@@ -215,22 +189,17 @@ class ShapeReport:
 
 
 def _slot_argument(value):
-    """Argument in units of pi, flat convention: positive reals give 0,
-    negative reals give 1."""
-    if isinstance(value, GaussianRational):
-        if value.im == 0:
-            return 0.0 if value.re > 0 else 1.0
-        value = complex(value)
-    phase = cmath.phase(value)
-    if phase == 0 and value.real < 0:
-        phase = math.pi
-    return phase / math.pi
+    """Argument of an exact slot value in units of pi, flat convention:
+    positive reals give 0, negative reals give 1."""
+    if value.im == 0:
+        return 0.0 if value.re > 0 else 1.0
+    return cmath.phase(complex(value)) / math.pi
 
 
 def _row_product(row, shapes):
     """The product of the slot values raised to the row's exponents: the
     left-hand side of an edge or cusp equation."""
-    prod = ONE if shapes.exact else complex(1.0)
+    prod = ONE
     for value, exp in zip(shapes.slots, row):
         for _ in range(abs(exp)):
             prod = prod * value if exp > 0 else prod / value
@@ -239,9 +208,9 @@ def _row_product(row, shapes):
 
 def verify_shapes(tri_or_skeleton, shapes):
     """
-    Exact check of the edge equations: for each edge class the product of
-    incident slot values (exact for exact input) and the argument sum in
-    pi-units, plus the flat set.
+    Exact check of the edge equations: for each edge class the exact
+    product of incident slot values and the argument sum in pi-units, plus
+    the flat set.
     """
     skeleton = as_skeleton(tri_or_skeleton)
     shapes = as_shapes(shapes, skeleton)
@@ -255,9 +224,10 @@ def verify_shapes(tri_or_skeleton, shapes):
 def completeness_products(tri_or_skeleton, shapes):
     """Exact cusp-equation products (one per peripheral curve); all equal
     to 1 exactly when the verified solution is complete."""
-    system = build_gluing_system(tri_or_skeleton)
-    shapes = as_shapes(shapes, system.skeleton)
-    return [_row_product(row, shapes) for row in system.cusp_rows]
+    skeleton, rows, _targets = _gluing_equations(tri_or_skeleton)
+    shapes = as_shapes(shapes, skeleton)
+    return [_row_product(row, shapes)
+            for row in rows[len(skeleton.edge_rows):]]
 
 
 def shapes_to_angles(report):
@@ -272,11 +242,11 @@ def shapes_to_angles(report):
     return list(report.shapes.arguments)
 
 
-def _log_residual(system, zs):
-    """Residuals of all log equations at the given complex shapes."""
+def _log_residual(rows, targets, zs):
+    """Residuals of the log equations at the given complex shapes."""
     values = [w for z in zs for w in slot_values(z)]
     residuals = []
-    for row, target in zip(system.rows, system.targets()):
+    for row, target in zip(rows, targets):
         total = 0j
         for w, exp in zip(values, row):
             if exp:
@@ -290,9 +260,7 @@ def _jacobian_row(row, zs):
     n = len(zs)
     out = [0j] * n
     for t in range(n):
-        a = row[3 * t]
-        b = row[3 * t + 1]
-        c = row[3 * t + 2]
+        a, b, c = row[3 * t:3 * t + 3]
         if not (a or b or c):
             continue
         z = zs[t]
@@ -323,33 +291,28 @@ def solve_shapes_newton(tri_or_skeleton, initial=None, tol=1e-12,
     A maximal independent subset of rows is selected at the initial point
     (edge rows first, ascending, then cusp rows); success requires the
     residual of every equation, including the dependent ones, to fall
-    below tol.  Raises NewtonError on a singular Jacobian or divergence.
+    below tol.  Returns the shapes as a list of complex numbers; raises
+    NewtonError on a singular Jacobian or divergence.
     """
-    system = build_gluing_system(tri_or_skeleton)
-    n = system.columns // 3
+    skeleton, rows, targets = _gluing_equations(tri_or_skeleton)
+    n = skeleton.triangulation.tet_count
     if n == 0:
         raise ShapeError("empty triangulation")
-    zs = list(initial) if initial is not None else [complex(0.0, 1.0)] * n
-    zs = [complex(z) for z in zs]
+    zs = [complex(z) for z in initial] if initial is not None else [1j] * n
     if len(zs) != n:
         raise ShapeError("expected %d initial shapes" % n)
 
     # deterministic choice of an independent square subsystem
-    rows = system.rows
-    targets = system.targets()
     chosen = []
     basis = []
     for idx, row in enumerate(rows):
         if len(chosen) == n:
             break
-        cand = _jacobian_row(row, zs)
-        vec = cand[:]
-        for b in basis:
-            pivot_col, pivot_val = b
+        vec = _jacobian_row(row, zs)
+        for pivot_col, pivot_val in basis:
             f = vec[pivot_col] / pivot_val[pivot_col]
             vec = [x - f * y for x, y in zip(vec, pivot_val)]
-        norm = max(abs(x) for x in vec)
-        if norm > 1e-9:
+        if max(abs(x) for x in vec) > 1e-9:
             col = max(range(n), key=lambda k: abs(vec[k]))
             basis.append((col, vec))
             chosen.append(idx)
@@ -359,10 +322,10 @@ def solve_shapes_newton(tri_or_skeleton, initial=None, tol=1e-12,
 
     worst = float("inf")
     for iteration in range(max_iter):
-        residual = _log_residual(system, zs)
+        residual = _log_residual(rows, targets, zs)
         worst = max(abs(r) for r in residual)
         if worst < tol:
-            return ShapeAssignment(zs)
+            return zs
         sub = [_jacobian_row(rows[i], zs) for i in chosen]
         rhs = [-residual[i] for i in chosen]
         try:
@@ -370,10 +333,9 @@ def solve_shapes_newton(tri_or_skeleton, initial=None, tol=1e-12,
         except NewtonError:
             raise NewtonError("singular Jacobian at iteration %d"
                               % iteration)
-        step = 1.0
         for t in range(n):
             zs[t] += delta[t]
             if zs[t] == 0 or zs[t] == 1:
-                zs[t] += 1e-9j * step
+                zs[t] += 1e-9j
     raise NewtonError("no convergence after %d iterations (residual %.3g)"
                       % (max_iter, worst))

@@ -248,6 +248,15 @@ def test_verified_shapes_make_every_edge_essential(monkeypatch, m136_skeleton,
     assert calls["develop_and_scan"] == 0
 
 
+def test_floating_shapes_are_rejected(m136_skeleton, m136_shapes):
+    """Shapes are exact or rejected: floating ones raise where the
+    geometric tier reads them, instead of being skipped."""
+    floats = [complex(z) for z in m136_shapes.shapes]
+    for certify in (certify_essential, certify_strongly_essential):
+        with pytest.raises(essedge.shapes.ShapeError, match="exact"):
+            certify(m136_skeleton, shapes=floats, methods=("geometry",))
+
+
 def test_negatively_oriented_solution_skipped(m136_skeleton, m136_shapes):
     """No fixture has a verified negatively oriented solution, so this
     only shows that the guard fires before anything is verified."""

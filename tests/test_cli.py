@@ -90,6 +90,14 @@ def test_angles_taut(m136_path, capsys):
     assert "taut structures: 4" in out
 
 
+def test_taut_limit_below_one_is_an_error(m136_path, capsys):
+    for limit in ("0", "-1"):
+        assert main(["angles", "--taut", "--limit", limit, m136_path]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+    assert main(["angles", "--taut", "--limit", "1", m136_path]) == 0
+    assert "taut structures: 1" in capsys.readouterr().out
+
+
 def test_pi1_output(fig8_path, capsys):
     assert main(["pi1", "--peripheral", fig8_path]) == 0
     out = capsys.readouterr().out
@@ -177,6 +185,25 @@ def test_shapes_document_without_shapes_list_is_an_error(m136_path, tmp_path,
     assert main(["certify", "--shapes", str(path), m136_path]) == 3
     assert capsys.readouterr().err.startswith("error:")
     assert main(["shapes", "--verify", str(path), m136_path]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", ["1/0\ni\n", '{"shapes": ["1/0", "i"]}'])
+def test_zero_denominator_in_shapes_is_an_error(fig8_path, tmp_path, capsys,
+                                                text):
+    path = str(tmp_path / "bad.txt")
+    with open(path, "w") as handle:
+        handle.write(text)
+    for command in (["certify", "--strong", "--shapes", path],
+                    ["shapes", "--verify", path]):
+        assert main(command + [fig8_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "zero denominator" in err
+
+
+def test_negative_budget_is_an_error(m136_path, capsys):
+    assert main(["certify", "--essential", "--methods", "group", "--budget",
+                 "coset_nodes=-5,quotient_nodes=-1", m136_path]) == 3
     assert capsys.readouterr().err.startswith("error:")
 
 

@@ -37,6 +37,17 @@ def test_budget_parsing():
         Budget(coast_nodes=1)
 
 
+def test_budgets_are_non_negative_ints():
+    assert Budget(factor_depth=0).factor_depth == 0
+    for bad in ({"coset_nodes": -5}, {"quotient_nodes": -1},
+                {"coset_nodes": 1.5}, {"rewrite_steps": "10"},
+                {"factor_depth": True}):
+        with pytest.raises(ValueError, match="int >= 0"):
+            Budget(**bad)
+    with pytest.raises(ValueError):
+        Budget.parse("coset_nodes=-5,quotient_nodes=-1")
+
+
 def test_budget_copies_and_pickles():
     import copy
     import pickle

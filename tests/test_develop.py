@@ -88,7 +88,7 @@ def test_developed_cross_ratios_reproduce_shapes(m136_skeleton, m136_shapes,
             for slot, order in enumerate(_SLOT_ORDER):
                 num, den = cross_ratio(*(inst.positions[v] for v in order))
                 assert (Fraction(num, den)
-                        == m136_shapes.slot_value(inst.tet, slot))
+                        == m136_shapes.slots[3 * inst.tet + slot])
 
 
 def test_every_developed_instance_is_checked(m136_skeleton, m136_shapes,
@@ -156,13 +156,12 @@ def test_scan_is_frame_independent(m136, m136_shapes):
 
 
 def test_develop_rejects_float_shapes(fig8_skeleton):
-    """Newton's floating solution verifies, but only exact shapes are
-    developed."""
+    """Newton's floating solution is not a shape assignment: only exact
+    shapes are verified, and so only exact shapes are developed."""
     solution = solve_shapes_newton(fig8_skeleton)
-    assert verify_shapes(fig8_skeleton, solution).passed
-    assert not solution.exact
+    assert all(isinstance(z, complex) for z in solution)
     with pytest.raises(ShapeError, match="exact"):
-        develop_and_scan(verify_shapes(fig8_skeleton, solution))
+        verify_shapes(fig8_skeleton, solution)
 
 
 def test_develop_rejects_unverified(m136_skeleton):

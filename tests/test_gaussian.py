@@ -23,6 +23,14 @@ def test_field_operations():
         a / GaussianRational(0)
 
 
+def test_zero_denominator_is_a_value_error():
+    for text in ("1/0", "1/0*i", "2+3/0*i"):
+        with pytest.raises(ValueError, match="zero denominator") as info:
+            parse_gaussian(text)
+        assert repr(text) in str(info.value)
+        assert not isinstance(info.value, ZeroDivisionError)
+
+
 def test_triple_product_identity():
     for text in ["2*i", "-1+2*i", "3/5+1/5*i", "-1", "2"]:
         z = parse_gaussian(text)

@@ -6,9 +6,10 @@ import pytest
 from essedge import Triangulation
 from essedge.gaussian import parse_gaussian, GaussianRational
 from essedge.shapes import (ShapeAssignment, parse_shapes, verify_shapes,
-                            build_gluing_system, completeness_products,
+                            completeness_products, slot_values,
                             solve_shapes_newton, shapes_to_angles,
-                            ShapeError, NewtonError, _log_residual)
+                            ShapeError, NewtonError, _gluing_equations,
+                            _log_residual)
 from essedge.angles import build_angle_system
 
 
@@ -57,7 +58,7 @@ def test_m136_alternate_slot_convention_fails(m136_skeleton, m136_shapes):
         for t, (a, b) in e.corners:
             slot = slot_of(a, b)
             slot = {0: 0, 1: 2, 2: 1}[slot]
-            acc = acc * m136_shapes.slot_value(t, slot)
+            acc = acc * m136_shapes.slots[3 * t + slot]
         swapped_total.append(acc)
     assert any(p != 1 for p in swapped_total)
 
@@ -85,28 +86,28 @@ def test_constant_i_fails_on_wrong_degrees(m136_skeleton):
 
 def test_gluing_system_rejects_sphere_links(q8_skeleton):
     with pytest.raises(ShapeError):
-        build_gluing_system(q8_skeleton)
+        _gluing_equations(q8_skeleton)
 
 
 def test_gluing_system_row_counts(fig8_skeleton, m136_skeleton):
-    system = build_gluing_system(fig8_skeleton)
-    assert len(system.edge_rows) == 2
-    for row, e in zip(system.edge_rows, fig8_skeleton.edge_classes):
+    edge_rows = fig8_skeleton.edge_rows
+    assert len(edge_rows) == 2
+    for row, e in zip(edge_rows, fig8_skeleton.edge_classes):
         assert sum(row) == e.degree == 6
     # each tetrahedron contributes all six edge ends across the edge rows
     for t in range(2):
-        total = sum(row[3 * t + s] for row in system.edge_rows
-                    for s in range(3))
+        total = sum(row[3 * t + s] for row in edge_rows for s in range(3))
         assert total == 6
-    assert len(system.cusp_rows) == 2
-    system_m = build_gluing_system(m136_skeleton)
-    assert [sum(r) for r in system_m.edge_rows] == [4, 4, 10, 10, 6, 4, 4]
+    _skeleton, rows, targets = _gluing_equations(fig8_skeleton)
+    assert rows[:2] == edge_rows and len(rows) == 4
+    assert targets == [2j * math.pi] * 2 + [0j] * 2
+    assert [sum(r) for r in m136_skeleton.edge_rows] == [4, 4, 10, 10, 6, 4, 4]
 
 
 def test_m136_edge0_row_slots(m136_skeleton):
     # corners 0(01), 4(30), 2(21), 1(31): slots 0, 2, 2, 1
-    system = build_gluing_system(m136_skeleton)
-    row = system.edge_rows[0]
+    _skeleton, rows, _targets = _gluing_equations(m136_skeleton)
+    row = rows[0]
     hits = {(col // 3, col % 3): k for col, k in enumerate(row) if k}
     assert hits == {(0, 0): 1, (4, 2): 1, (2, 2): 1, (1, 1): 1}
 
@@ -114,10 +115,10 @@ def test_m136_edge0_row_slots(m136_skeleton):
 def test_fig8_newton(fig8_skeleton):
     solution = solve_shapes_newton(fig8_skeleton)
     target = complex(0.5, math.sqrt(3.0) / 2.0)
-    for z in solution.as_complex():
+    for z in solution:
         assert abs(z - target) < 1e-9
-    system = build_gluing_system(fig8_skeleton)
-    residuals = _log_residual(system, solution.as_complex())
+    _skeleton, rows, targets = _gluing_equations(fig8_skeleton)
+    residuals = _log_residual(rows, targets, solution)
     assert all(abs(r) < 1e-12 for r in residuals)
 
 
@@ -126,16 +127,14 @@ def test_newton_needs_cusp_rows(fig8_skeleton):
     two completeness rows pin the complete structure (checked by the
     residual of the full system at a gluing-variety point that is not
     complete)."""
-    system = build_gluing_system(fig8_skeleton)
+    _skeleton, rows, targets = _gluing_equations(fig8_skeleton)
     # z1 = z2 = i satisfies both edge equations of the figure-8 gluing
     # variety only approximately; instead take the one-parameter family
     # z1 = z, z2 = w with the edge equation and check completeness fails
     # away from the complete point
-    solution = solve_shapes_newton(fig8_skeleton)
-    zs = solution.as_complex()
-    edge_rows = len(system.edge_rows)
+    zs = solve_shapes_newton(fig8_skeleton)
     perturbed = [zs[0] * 1.05, zs[1]]
-    residuals = _log_residual(system, perturbed)
+    residuals = _log_residual(rows, targets, perturbed)
     assert any(abs(r) > 1e-6 for r in residuals)
 
 
@@ -152,8 +151,9 @@ def test_m136_newton_boundary_sensitive(m136_skeleton):
         solution = solve_shapes_newton(m136_skeleton, max_iter=60)
     except (NewtonError, ShapeError):
         return
-    report = verify_shapes(m136_skeleton, solution)
-    assert report.products_ok
+    _skeleton, rows, targets = _gluing_equations(m136_skeleton)
+    residuals = _log_residual(rows, targets, solution)
+    assert all(abs(r) < 1e-12 for r in residuals)
 
 
 def test_shapes_to_angles_single_i():
@@ -165,7 +165,9 @@ def test_shapes_to_angles_single_i():
 
 def test_shapes_to_angles_fig8(fig8_skeleton):
     solution = solve_shapes_newton(fig8_skeleton)
-    angles = shapes_to_angles(verify_shapes(fig8_skeleton, solution))
+    angles = [cmath.phase(w) / math.pi
+              for z in solution for w in slot_values(z)]
+    assert len(angles) == 6
     assert all(abs(a - 1.0 / 3.0) < 1e-9 for a in angles)
 
 
