@@ -26,22 +26,28 @@ abelianisation step of the one group decider, answers edges and pairs
 alike: alone when group search is not named, as the decider's first step
 when it is.  Angle structures and shapes belong to the ideal case, so a
 closed triangulation runs only the homology and group tiers its methods
-name.
+name, and takes no shapes.
+
+An ideal pair is first compared by its edges' H1 classes (see
+`_Analysis.classes`): a pair that homology separates in every orientation
+whose ends match is not parallel without a question asked, and only the
+other pairs reach the decider.
 
 Every yes/no answer carries the certificate that produced it, tagged by
 its tier: {"kind": tag, "detail": the decider's certificate}, with the
 orientation "flip" of a parallel ideal pair.  Certificates without a
 witness (the global ones, "distinct_vertices", an ideal pair's
-"not parallel" and every unknown) are built once per certification.
-Unknown is an honest outcome; it names the budget when a group search
-ran out of it.
+"not parallel" and every unknown) are built once per certification, and
+so is each pair's (state, certificate) tuple they answer.  Unknown is an
+honest outcome; it names the budget when a group search ran out of it.
 """
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 from .angles import solve_angle_lp
-from .decide import Budget, abelian_separation, decide_double_coset
+from .decide import (Budget, abelian_lattice, abelian_separation,
+                     decide_double_coset)
 from .develop import develop_and_scan
 from .fundamental import SpineData, presentation_closed
 from .presentation import concat
@@ -49,6 +55,7 @@ from .shapes import (ShapeAssignment, as_shapes, verify_shapes,
                      completeness_products, solve_shapes_newton, NewtonError,
                      ShapeError)
 from .skeleton import as_skeleton
+from .snf import lattice_remainder
 from .gaussian import GaussianRational
 
 ALL_METHODS = ("angle", "homology", "geometry", "group")
@@ -132,12 +139,12 @@ def _rationalize(value):
 
 def _exact_shapes(spine, shapes, log):
     """The verify_shapes report of an exact verified geometric shape
-    solution (with exact completeness), from the given shapes or by Newton
-    solving and rationalising.  A negatively oriented tetrahedron could
-    overlap its neighbours, which the flat-cluster scan assumes away, so
-    such a solution is skipped."""
+    solution (with exact completeness), from the given `ShapeAssignment` or
+    by Newton solving and rationalising.  A negatively oriented tetrahedron
+    could overlap its neighbours, which the flat-cluster scan assumes away,
+    so such a solution is skipped."""
     if shapes is not None:
-        candidate = as_shapes(shapes, spine.skeleton)
+        candidate = shapes
     else:
         try:
             approx = solve_shapes_newton(spine)
@@ -175,11 +182,16 @@ class _Analysis:
     def __init__(self, tri, budgets, shapes, methods):
         self.skeleton = as_skeleton(tri)
         self.closed = _classify(self.skeleton) == "closed"
+        if shapes is not None:
+            if self.closed:
+                raise CertifyError("shapes given for a closed triangulation")
+            shapes = as_shapes(shapes, self.skeleton)
         self.budgets = budgets or Budget()
         self.shapes = shapes
         self.methods = methods
         self.log = []
         self._once = {}
+        self._values = {}
 
     @cached_property
     def spine(self):
@@ -220,6 +232,56 @@ class _Analysis:
             self._once[key] = ({"kind": kind, "budget": self.budgets.to_json()}
                                if budget else {"kind": kind})
         return self._once[key]
+
+    def pair_value(self, state, certificate):
+        """A pair's (state, certificate), one tuple per state and
+        certificate object, so every pair a witness-free certificate
+        answers holds the same tuple."""
+        key = state, id(certificate)
+        if key not in self._values:
+            self._values[key] = state, certificate
+        return self._values[key]
+
+    @cached_property
+    def classes(self):
+        """classes[e]: the H1 classes (c, c⁻) of edge e, the image d of its
+        end words' difference and -d, each reduced modulo the lattice of its
+        two cusps.  Conjugation does not change a subgroup's image, so that
+        lattice, the span of the cusps' peripheral images and the torsion
+        columns, is every question's between those cusps, and is
+        echelonised once per cusp pair.  A pair word's image is a sum of
+        end images, so homology separates edges i, j in the orientation
+        that keeps j exactly when c(i) != c(j), and in the one that flips j
+        exactly when c(i) != c⁻(j)."""
+        spine = self.spine
+        lattices = {}
+        classes = []
+        for (x, y), (image_x, image_y) in zip(spine.ends, spine.end_images):
+            cusps = tuple(sorted({x.vertex, y.vertex}))
+            if cusps not in lattices:
+                words = tuple(w for v in cusps
+                              for w in spine.peripheral(v).words)
+                lattices[cusps] = abelian_lattice(self.presentation, words)
+            d = [a - b for a, b in zip(image_x, image_y)]
+            classes.append((lattice_remainder(lattices[cusps], d),
+                            lattice_remainder(lattices[cusps],
+                                              [-a for a in d])))
+        return classes
+
+    def separated_pairs(self, pairs):
+        """The ideal pairs that homology separates in each orientation whose
+        ends match up, when some orientation does."""
+        ends, classes = self.spine.ends, self.classes
+        out = set()
+        for i, j in pairs:
+            (xa, xb), (ya, yb) = ends[i], ends[j]
+            ci, (cj, cj_flipped) = classes[i][0], classes[j]
+            kept = ya.vertex == xa.vertex and yb.vertex == xb.vertex
+            flipped = ya.vertex == xb.vertex and yb.vertex == xa.vertex
+            if ((kept or flipped) and not (kept and ci == cj)
+                    and not (flipped and ci == cj_flipped)):
+                out.add((i, j))
+        return out
 
     def edge_questions(self, e):
         """(None, word, h1, ()), edge e being inessential exactly when the
@@ -301,6 +363,11 @@ class _Analysis:
 
 _ESSENTIAL = {"yes": "no", "no": "yes", "unknown": "unknown"}
 _PAIR_STATE = {"yes": "parallel", "no": "not_parallel", "unknown": "unknown"}
+@cache
+def _index_pairs(n):
+    """Every pair of n edge indices, in order: the pair tables of all
+    certifications share these key tuples."""
+    return tuple(combinations(range(n), 2))
 
 
 def _edge_pass(a):
@@ -339,14 +406,25 @@ def _pair_pass(a):
                      "coincident pairs %s" % sorted(coincident))
     elif report is not None:
         a.log.append("geometry: flat-cluster scan not conclusive")
+    index_pairs = _index_pairs(len(a.skeleton.edge_classes))
+    # an ideal pair that homology separates in every orientation is not
+    # parallel, with the certificate `answer` would give it
+    separated, not_parallel = (), None
+    if coincident is None and not a.closed and (a.uses("homology")
+                                                or a.uses("group")):
+        separated = a.separated_pairs(index_pairs)
+        not_parallel = a.pair_value("not_parallel", a.once(
+            "homology" if a.uses("homology") else "group_double_coset"))
     pairs = {}
-    for pair in combinations(range(len(a.skeleton.edge_classes)), 2):
+    for pair in index_pairs:
         if coincident is not None:
             state = "parallel" if pair in coincident else "not_parallel"
-            pairs[pair] = (state, a.once("geometric_scan"))
+            pairs[pair] = a.pair_value(state, a.once("geometric_scan"))
+        elif pair in separated:
+            pairs[pair] = not_parallel
         else:
             member, certificate = a.answer(a.pair_questions(*pair))
-            pairs[pair] = (_PAIR_STATE[member], certificate)
+            pairs[pair] = a.pair_value(_PAIR_STATE[member], certificate)
     return pairs
 
 

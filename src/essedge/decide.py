@@ -30,23 +30,25 @@ Unknown carries "budget_exhausted" and the budget.  All searches are
 deterministic and ordered, so a definite verdict at some budget is
 returned unchanged at any larger budget.
 
-The searches are shared per presentation: each coset attempt, keyed by
-its subgroup words and cap (a failed one too), and each factorisation
-product table, keyed by its words, depth and node budget, is built once,
-on first use, into the presentation's `built` store and read from there
-by every later question.  Since both are deterministic, sharing changes
-no verdict or certificate.  Replay never reads the store: it enumerates
-afresh.  A certificate cannot set how long its replay runs: a "yes" coset
-table's cap must lie within the default `coset_nodes`, and a quotient
-separation's degree within the default `quotient_degree`, since replay
-builds both subgroup images in S_degree and their whole product set.
+The searches are shared per presentation: each abelian lattice (the
+echelon basis of the subgroups' images and the torsion columns), keyed by
+its subgroup words, each coset attempt, keyed by its subgroup words and
+cap (a failed one too), and each factorisation product table, keyed by
+its words, depth and node budget, with the set of product lengths that
+the scan prunes by, is built once, on first use, into the presentation's
+`built` store and read from there by every later question.  Since all
+are deterministic, sharing changes no verdict or certificate.  Replay
+never reads the store: it enumerates afresh.  A certificate cannot set
+how long its replay runs: a "yes" coset table's cap must lie within the
+default `coset_nodes`, and a quotient separation's degree within the
+default `quotient_degree`, since replay builds both subgroup images in
+S_degree and their whole product set.
 """
 import heapq
 from itertools import groupby, permutations
 
-from .presentation import (free_reduce, inverse_word, inverse_times, concat,
-                           cyclic_reduce)
-from .snf import in_column_span
+from .presentation import free_reduce, inverse_word, concat, cyclic_reduce
+from .snf import in_column_span, lattice_echelon, lattice_remainder
 from .coset import coset_enumeration
 
 
@@ -359,26 +361,31 @@ def subgroup_closure(images, n):
 # ---- factorisation search ----
 
 def _product_table(gens, depth, node_budget):
-    """Freely reduced products of the generators, BFS by factor count:
-    word -> factor list.  Deterministic order."""
+    """Freely reduced products of the freely reduced generators, BFS by
+    factor count: (word -> factor list, in a deterministic order, and the
+    set of word lengths).  Appending a factor cancels only at the
+    junction."""
+    pieces = [(sign * (gi + 1), g if sign > 0 else inverse_word(g))
+              for gi, g in enumerate(gens) for sign in (1, -1)]
     table = {(): []}
     frontier = [()]
     nodes = 0
     for _ in range(depth):
         next_frontier = []
         for w in frontier:
-            for gi, g in enumerate(gens):
-                for sign in (1, -1):
-                    nodes += 1
-                    if nodes > node_budget:
-                        return table
-                    piece = g if sign > 0 else inverse_word(g)
-                    new = concat(w, piece)
-                    if new not in table:
-                        table[new] = table[w] + [sign * (gi + 1)]
-                        next_frontier.append(new)
+            for factor, piece in pieces:
+                nodes += 1
+                if nodes > node_budget:
+                    return table, {len(w) for w in table}
+                k, m = 0, min(len(w), len(piece))
+                while k < m and w[-1 - k] == -piece[k]:
+                    k += 1
+                new = w[:len(w) - k] + piece[k:]
+                if new not in table:
+                    table[new] = table[w] + [factor]
+                    next_frontier.append(new)
         frontier = next_frontier
-    return table
+    return table, {len(w) for w in table}
 
 
 # ---- the decider ----
@@ -402,18 +409,34 @@ def decide_membership(presentation, subgroup_words, word, budget=None):
     return decide_double_coset(presentation, subgroup_words, (), word, budget)
 
 
+def _abelian_columns(presentation, subgroup_words):
+    """The subgroups' images in the coordinates of the presentation's
+    abelianisation, and the torsion columns d_i e_i that the relators span
+    there."""
+    moduli = presentation.abelianization[1]
+    columns = [presentation.abelian_coordinates(h) for h in subgroup_words]
+    columns += [[d if k == i else 0 for k in range(len(moduli))]
+                for i, d in enumerate(moduli) if d]
+    return columns
+
+
+def abelian_lattice(presentation, subgroup_words):
+    """The echelon basis (`snf.lattice_echelon`) of the span of the
+    subgroups' and relators' images in H1, built once per presentation and
+    subgroup words.  Conjugating a subgroup does not change its image."""
+    words = tuple(map(tuple, subgroup_words))
+    return _built(presentation, ("lattice", words), lambda: lattice_echelon(
+        _abelian_columns(presentation, words),
+        len(presentation.abelianization[1])))
+
+
 def abelian_separation(presentation, h1_words, h2_words, word):
     """The decider's abelianisation step, which also runs on its own: a "no"
     verdict when the word's exponent vector lies outside the integer span
-    of the subgroups' and relators' exponent vectors, else None.  It reads
-    the presentation's abelianisation: in its coordinates the relators
-    span the torsion columns d_i e_i."""
-    moduli = presentation.abelianization[1]
-    columns = [presentation.abelian_coordinates(h)
-               for h in list(h1_words) + list(h2_words)]
-    columns += [[d if k == i else 0 for k in range(len(moduli))]
-                for i, d in enumerate(moduli) if d]
-    if in_column_span(columns, presentation.abelian_coordinates(word)):
+    of the subgroups' and relators' exponent vectors, else None."""
+    if not any(lattice_remainder(
+            abelian_lattice(presentation, [*h1_words, *h2_words]),
+            presentation.abelian_coordinates(word))):
         return None
     return GroupVerdict("no", {"kind": "abelianization",
                                "image": presentation.exponent_vector(word)})
@@ -470,16 +493,12 @@ def decide_double_coset(presentation, h1_words, h2_words, word, budget=None):
         return separated
     # bounded literal factorisation: w = p2 * p1 after free reduction; the
     # factor lists are copied, as the tables are shared
-    depth, nodes = budget.factor_depth, budget.factor_nodes
-    t1, t2 = (_built(presentation, ("factor", tuple(h), depth, nodes),
-                     lambda: _product_table(h, depth, nodes))
-              for h in (h1_words, h2_words))
-    for p2, factors2 in t2.items():
-        rest = inverse_times(p2, word)
-        if rest in t1:
-            return GroupVerdict("yes", {"kind": "factorization",
-                                        "h2_factors": list(factors2),
-                                        "h1_factors": list(t1[rest])})
+    found = _factorization(presentation, h1_words, h2_words, word, budget)
+    if found is not None:
+        factors2, factors1 = found
+        return GroupVerdict("yes", {"kind": "factorization",
+                                    "h2_factors": list(factors2),
+                                    "h1_factors": list(factors1)})
     # with both subgroups trivial the question is triviality, which a
     # rewriting trace to the empty word settles before any coset table
     if not any(h1_words) and not any(h2_words):
@@ -528,6 +547,31 @@ def decide_double_coset(presentation, h1_words, h2_words, word, budget=None):
                                    "images": [list(p) for p in images]})
     return GroupVerdict("unknown", {"kind": "budget_exhausted",
                                     "budget": budget.to_json()})
+
+
+def _factorization(presentation, h1_words, h2_words, word, budget):
+    """The factor lists of the first product p2 of the H2 table, in its
+    order, with p2^-1 w in the H1 table, or None.  For freely reduced p2 and
+    w only their common prefix, of length k, cancels, so p2^-1 w has length
+    |p2| + |w| - 2k and is built only when the H1 table has a product of
+    that length."""
+    depth, nodes = budget.factor_depth, budget.factor_nodes
+    (t1, lengths1), (t2, _) = (
+        _built(presentation, ("factor", tuple(h), depth, nodes),
+               lambda: _product_table(h, depth, nodes))
+        for h in (h1_words, h2_words))
+    n = len(word)
+    for p2, factors2 in t2.items():
+        k = 0
+        for a, b in zip(p2, word):
+            if a != b:
+                break
+            k += 1
+        if len(p2) + n - 2 * k in lengths1:
+            rest = inverse_word(p2[k:]) + word[k:]
+            if rest in t1:
+                return factors2, t1[rest]
+    return None
 
 
 def _double_coset_separation(n, images, h1_words, h2_words, word):
@@ -590,8 +634,9 @@ def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
     if verdict.answer == "unknown":
         return kind == "budget_exhausted"
     if kind == "abelianization":
-        return verdict.answer == "no" and abelian_separation(
-            presentation, h1_words, h2_words, word) is not None
+        return verdict.answer == "no" and not in_column_span(
+            _abelian_columns(presentation, h1_words + h2_words),
+            presentation.abelian_coordinates(word))
     if kind == "factorization":
         p2 = _product(h2_words, cert.get("h2_factors"))
         p1 = _product(h1_words, cert.get("h1_factors"))

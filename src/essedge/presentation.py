@@ -6,6 +6,7 @@ abelianisation is `snf.cokernel` of its relator matrix, the one SNF
 cokernel routine, which the peripheral choice of a cusp also reads.
 """
 from functools import cached_property
+from operator import mul
 
 from .snf import cokernel
 
@@ -31,17 +32,6 @@ def concat(*words):
     for w in words:
         out.extend(w)
     return free_reduce(out)
-
-
-def inverse_times(u, w):
-    """u^-1 w for freely reduced u and w: only the junction cancels, so
-    their common prefix is all that goes."""
-    k = 0
-    for a, b in zip(u, w):
-        if a != b:
-            break
-        k += 1
-    return inverse_word(u[k:]) + w[k:]
 
 
 def cyclic_reduce(word):
@@ -103,9 +93,8 @@ class Presentation:
 
     def abelian_coordinates(self, word):
         """The word in the coordinates of H1, not reduced by the moduli."""
-        v = [(g, x) for g, x in enumerate(self.exponent_vector(word)) if x]
-        return [sum(row[g] * x for g, x in v)
-                for row in self.abelianization[0]]
+        v = self.exponent_vector(word)
+        return [sum(map(mul, row, v)) for row in self.abelianization[0]]
 
     def __repr__(self):
         return "Presentation(%d generators | %s)" % (

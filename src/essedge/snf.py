@@ -45,12 +45,17 @@ class _Worker:
         A = self.A
         t = 0
         while t < min(self.rows, self.cols):
-            pivot = None
-            best = None
+            # the first entry of least absolute value, in row order; no
+            # entry comes below 1, so the scan stops at the first unit
+            pivot = best = None
             for i in range(t, self.rows):
                 for j in range(t, self.cols):
                     if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
                         pivot, best = (i, j), abs(A[i][j])
+                        if best == 1:
+                            break
+                if best == 1:
+                    break
             if pivot is None:
                 break
             self.swap_rows(t, pivot[0])
@@ -153,7 +158,7 @@ def solve_integer(matrix, target):
     return [sum(V[i][k] * y[k] for k in range(cols)) for i in range(cols)]
 
 
-def _lattice_echelon(vectors, n):
+def lattice_echelon(vectors, n):
     """An echelon basis of the integer span of the vectors: (pivot, vector)
     pairs with increasing pivots, each vector zero before its pivot."""
     pool = [list(v) for v in vectors if any(v)]
@@ -177,16 +182,24 @@ def _lattice_echelon(vectors, n):
     return basis
 
 
-def in_column_span(columns, target):
-    """Whether target lies in the integer span of the given column vectors."""
+def lattice_remainder(basis, target):
+    """The remainder of target modulo the lattice with this echelon basis:
+    at each pivot in turn, the floor quotient of the basis vector is taken
+    off.  Two vectors have the same remainder exactly when their difference
+    lies in the lattice, so a vector lies in it exactly when its remainder
+    is zero."""
     t = list(target)
-    for i, v in _lattice_echelon(columns, len(t)):
-        q, r = divmod(t[i], v[i])
-        if r:
-            return False
+    for i, v in basis:
+        q = t[i] // v[i]
         if q:
             t = [a - q * b for a, b in zip(t, v)]
-    return not any(t)
+    return tuple(t)
+
+
+def in_column_span(columns, target):
+    """Whether target lies in the integer span of the given column vectors."""
+    return not any(lattice_remainder(lattice_echelon(columns, len(target)),
+                                     target))
 
 
 def cokernel(rel_matrix, ngens):

@@ -3,6 +3,7 @@ import importlib.resources as resources
 import pytest
 
 from essedge import parse_triangulation, build_skeleton
+from essedge.presentation import inverse_word
 from essedge.snf import homology_invariants, smith_normal_form
 
 
@@ -112,3 +113,15 @@ def cokernel_reducer(rel_matrix, ngens):
         return tuple(out)
 
     return reduce_vec
+
+
+def inverse_times(u, w):
+    """u^-1 w for freely reduced u and w: only the junction cancels, so
+    their common prefix is all that goes.  The reference the factorisation
+    scan's length-pruned quotient is held to."""
+    k = 0
+    for a, b in zip(u, w):
+        if a != b:
+            break
+        k += 1
+    return inverse_word(u[k:]) + w[k:]

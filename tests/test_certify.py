@@ -222,6 +222,58 @@ def test_group_searches_built_once_per_certification(monkeypatch):
     assert questions["decide_double_coset"] > 2 * len(built)
 
 
+def test_lattices_built_once_per_certification(monkeypatch):
+    """Every abelian lattice of a pillow certification at the A5 budget,
+    keyed by its subgroup words, is echelonised once, and the edge classes
+    read the one lattice of the cusp, which the edge questions share."""
+    built = Counter()
+    columns = essedge.decide._abelian_columns
+
+    def counted(presentation, words):
+        built[tuple(words)] += 1
+        return columns(presentation, words)
+
+    monkeypatch.setattr(essedge.decide, "_abelian_columns", counted)
+    questions = Counter()
+    _count_calls(monkeypatch, essedge.decide.abelian_separation, questions)
+    m136 = parse_triangulation(fixture_text("m136.tri"))
+    pillow, _ = pillow_0_2(m136, 2, (3, 4))
+    skeleton = build_skeleton(pillow)
+    budget = Budget(coset_nodes=100, rewrite_steps=100, quotient_degree=2,
+                    quotient_nodes=100, factor_depth=3, factor_nodes=200)
+    verdict = certify_strongly_essential(
+        skeleton, budget, methods=("angle", "homology", "group"))
+    assert set(built.values()) == {1}, built.most_common(3)
+    assert questions["abelian_separation"] > 2 * len(built)
+    cusp = essedge.fundamental.SpineData(skeleton).peripheral(0).words
+    assert cusp in built
+    separated = [c for state, c in verdict.pair_table.values()
+                 if state == "not_parallel"]
+    assert separated and all(c == {"kind": "homology"} for c in separated)
+
+
+def test_pair_values_shared_within_a_certification(m136, m136_skeleton):
+    """A pillow verdict holds one (state, certificate) tuple per state and
+    witness-free certificate, and pair keys shared across certifications;
+    its JSON is the golden file's."""
+    import json
+    import record_verdicts
+    methods = ("angle", "homology", "group")
+    golden = next(r for r in json.loads(record_verdicts.GOLDEN.read_text())
+                  if (r["input"], r["methods"], r["mode"])
+                  == ("m136 pillow 0 (0, 1)", list(methods), "strongly"))
+    tri, _record = pillow_0_2(m136, 0, (0, 1), m136_skeleton)
+    verdict, again = (certify_strongly_essential(
+        tri, record_verdicts.BUDGET, methods=methods) for _ in range(2))
+    assert json.loads(json.dumps(verdict.to_json())) == golden["verdict"]
+    values = list(verdict.pair_table.values())
+    kinds = {c["kind"] for _, c in values}
+    assert kinds == {"homology", "budget_exhausted"}
+    assert len({id(c) for _, c in values}) == len(kinds)
+    assert len({id(v) for v in values}) == 2
+    assert all(a is b for a, b in zip(verdict.pair_table, again.pair_table))
+
+
 def test_slot_values_derived_once(monkeypatch, m136_skeleton, m136_shapes):
     """The shape checks of a certification and the development all read
     one slot table, derived with one call per tetrahedron."""
@@ -255,6 +307,39 @@ def test_floating_shapes_are_rejected(m136_skeleton, m136_shapes):
     for certify in (certify_essential, certify_strongly_essential):
         with pytest.raises(essedge.shapes.ShapeError, match="exact"):
             certify(m136_skeleton, shapes=floats, methods=("geometry",))
+
+
+def test_supplied_shapes_are_validated_at_once(fig8_skeleton, q8_skeleton,
+                                              m136_shapes):
+    """Shapes are checked when a certification starts, whatever tier would
+    read them: a strict angle structure decides fig8 first, and a closed
+    triangulation has no geometric tier."""
+    floats = [0.5 + 0.86j] * 2
+    for certify in (certify_essential, certify_strongly_essential):
+        with pytest.raises(essedge.shapes.ShapeError, match="exact"):
+            certify(fig8_skeleton, shapes=floats)
+        with pytest.raises(essedge.shapes.ShapeError, match="expected 2"):
+            certify(fig8_skeleton, shapes=m136_shapes)
+        with pytest.raises(CertifyError, match="closed"):
+            certify(q8_skeleton, shapes=[])
+
+
+def test_supplied_shapes_converted_once(monkeypatch, m136_skeleton,
+                                        m136_shapes):
+    """The geometric tier reads the one `ShapeAssignment` made from the
+    supplied shapes when the certification started."""
+    calls = Counter()
+    init = ShapeAssignment.__init__
+
+    def counted(self, shapes):
+        calls["ShapeAssignment"] += 1
+        init(self, shapes)
+
+    monkeypatch.setattr(ShapeAssignment, "__init__", counted)
+    verdict = certify_strongly_essential(m136_skeleton,
+                                         shapes=list(m136_shapes.shapes))
+    assert verdict.strongly_essential == "yes"
+    assert calls["ShapeAssignment"] == 1
 
 
 def test_negatively_oriented_solution_skipped(m136_skeleton, m136_shapes):

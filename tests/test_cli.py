@@ -219,3 +219,17 @@ def test_move_site_out_of_range_is_an_error(fig8_path, capsys):
                  ["--three-two", "99"], ["--zero-two", "99,0,1"]):
         assert main(["move"] + site + [fig8_path]) == 3
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_shapes_for_another_triangulation_are_an_error(fig8_path, tmp_path,
+                                                       shapes_path, capsys):
+    """Supplied shapes are checked before any tier runs: m136's seven
+    shapes do not fit fig8, which a strict angle structure would otherwise
+    certify without reading them, and a closed triangulation takes none."""
+    q8_path = tmp_path / "q8.tri"
+    q8_path.write_text(fixture_text("q8.tri"))
+    for path in (fig8_path, str(q8_path)):
+        for mode in ("--strong", "--essential"):
+            assert main(["certify", mode, "--shapes", shapes_path,
+                         path]) == 3
+            assert capsys.readouterr().err.startswith("error:")

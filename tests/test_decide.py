@@ -9,7 +9,7 @@ import essedge.decide
 from essedge import build_skeleton, parse_triangulation
 from essedge.certify import _Analysis
 from essedge.presentation import (Presentation, word_from_string as words,
-                                  inverse_word)
+                                  inverse_word, free_reduce, concat)
 from essedge.decide import (Budget, GroupVerdict, decide_word,
                             decide_membership, decide_double_coset,
                             replay_rewrite_trace, replay_word_verdict,
@@ -20,6 +20,7 @@ from essedge.coset import CosetTable
 from essedge.fundamental import presentation_closed, presentation_spine
 from essedge.moves import pillow_0_2
 from test_random_properties import random_closed_triangulation
+from conftest import inverse_times
 
 
 Z2 = Presentation(1, [words("aa")])
@@ -460,3 +461,71 @@ def test_quotient_search_memory_stays_small():
         tracemalloc.stop()
     assert result == (None, False)
     assert peak < 5 * 2 ** 20
+
+
+def _reference_table(gens, depth, node_budget):
+    """The product table as built before junction-only appending: every
+    product freely reduced from scratch."""
+    table = {(): []}
+    frontier = [()]
+    nodes = 0
+    for _ in range(depth):
+        next_frontier = []
+        for w in frontier:
+            for gi, g in enumerate(gens):
+                for sign in (1, -1):
+                    nodes += 1
+                    if nodes > node_budget:
+                        return table
+                    new = concat(w, g if sign > 0 else inverse_word(g))
+                    if new not in table:
+                        table[new] = table[w] + [sign * (gi + 1)]
+                        next_frontier.append(new)
+        frontier = next_frontier
+    return table
+
+
+def _reference_scan(t1, t2, word):
+    """The factorisation scan before length pruning: p2^-1 w for every H2
+    product, in table order."""
+    for p2, factors2 in t2.items():
+        rest = inverse_times(p2, word)
+        if rest in t1:
+            return factors2, t1[rest]
+    return None
+
+
+def test_factorization_scan_matches_the_unpruned_scan():
+    """The product tables, their order included, and the scan's first hit
+    and factor lists are those of the unpruned scan: on seeded random
+    words, and on constructed hits w = p2·p1, under node budgets that stop
+    a table midway too."""
+    rng = random.Random(17)
+
+    def word(k):
+        return free_reduce(rng.choice((-3, -2, -1, 1, 2, 3))
+                           for _ in range(k))
+
+    hits = misses = 0
+    for trial in range(120):
+        depth, nodes = rng.choice([(2, 40), (3, 300), (4, 150)])
+        budget = Budget(factor_depth=depth, factor_nodes=nodes)
+        h1 = [word(rng.randint(0, 3)) for _ in range(rng.randint(1, 2))]
+        h2 = [word(rng.randint(0, 3)) for _ in range(rng.randint(1, 2))]
+        t1, lengths1 = essedge.decide._product_table(h1, depth, nodes)
+        t2, _ = essedge.decide._product_table(h2, depth, nodes)
+        for gens, table in ((h1, t1), (h2, t2)):
+            assert (list(table.items())
+                    == list(_reference_table(gens, depth, nodes).items()))
+        assert lengths1 == {len(w) for w in t1}
+        targets = [word(rng.randint(1, 8)) for _ in range(4)]
+        targets += [concat(rng.choice(list(t2)), rng.choice(list(t1)))
+                    for _ in range(4)]
+        presentation = Presentation(3, [])
+        for w in filter(None, targets):
+            expected = _reference_scan(t1, t2, w)
+            assert essedge.decide._factorization(
+                presentation, h1, h2, w, budget) == expected
+            hits += expected is not None
+            misses += expected is None
+    assert hits > 300 and misses > 100

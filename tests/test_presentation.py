@@ -1,10 +1,10 @@
 import random
 
 from essedge.presentation import (Presentation, free_reduce, inverse_word,
-                                  inverse_times, concat, cyclic_reduce,
-                                  word_from_string,
+                                  concat, cyclic_reduce, word_from_string,
                                   word_to_string, homology, word_image,
                                   simplify_presentation)
+from conftest import inverse_times
 
 
 def test_free_reduction():

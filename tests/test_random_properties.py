@@ -2,7 +2,8 @@
 Randomised property suites over small closed triangulations: partition and
 Euler invariants, Pachner round trips with homology preservation, exact LP
 witnesses, the one angle LP and the one abelianisation against reference
-computations, and certificate replay.
+computations, and certificate replay; over ideal inputs, the edges' H1
+classes against the group decider.
 """
 import random
 from itertools import combinations, permutations
@@ -11,10 +12,11 @@ import pytest
 
 import essedge.certify
 from essedge import (Presentation, Triangulation, Perm4, build_skeleton,
-                     are_isomorphic, SkeletonError)
+                     are_isomorphic, parse_table, SkeletonError)
 from essedge.angles import build_angle_system, solve_angle_lp
-from essedge.certify import certify_strongly_essential
-from essedge.decide import (Budget, decide_word, decide_membership,
+from essedge.certify import ALL_METHODS, certify_strongly_essential
+from essedge.decide import (Budget, abelian_separation, decide_word,
+                            decide_membership,
                             decide_double_coset, replay_word_verdict,
                             replay_membership_verdict,
                             replay_double_coset_verdict)
@@ -236,6 +238,91 @@ def test_one_lp_and_one_abelianisation_match_references(corpus, m136, fig8,
         for w in probes:
             assert (any(word_image(pres, w))
                     == any(reduce_vec(pres.exponent_vector(w))))
+
+
+# ideal triangulations with torus cusps from a seeded random search over
+# small gluing tables.  The one-cusped ones have H1 = Z/5 + Z, Z/3 + Z,
+# Z/7 + Z and Z + Z + Z: their edge classes modulo the cusp are not all of
+# order 2, so c(e) != c⁻(e) for some edge and a pair's two orientations
+# can differ in homology.  The two-cusped ones have H1 = Z + Z: the first
+# has two edges from cusp 0 to cusp 1, which only the orientation keeping
+# both ends can match, and the second has classes of order 3.
+SEARCHED_TABLES = (
+    "tets: 2\n0: 1 (201) | 1 (312) | 1 (023) | 1 (301)\n"
+    "1: 0 (120) | 0 (231) | 0 (023) | 0 (130)\n",
+    "tets: 2\n0: 1 (213) | 1 (130) | 1 (012) | 1 (320)\n"
+    "1: 0 (023) | 0 (301) | 0 (321) | 0 (102)\n",
+    "tets: 3\n0: 1 (123) | 2 (203) | 1 (210) | 1 (302)\n"
+    "1: 0 (320) | 2 (102) | 0 (231) | 0 (012)\n"
+    "2: 1 (103) | 2 (321) | 0 (103) | 2 (310)\n",
+    "tets: 3\n0: 1 (103) | 1 (102) | 2 (213) | 2 (320)\n"
+    "1: 0 (103) | 0 (102) | 2 (102) | 2 (031)\n"
+    "2: 1 (203) | 1 (132) | 0 (321) | 0 (203)\n",
+    "tets: 4\n0: 3 (321) | 1 (312) | 3 (230) | 3 (210)\n"
+    "1: 3 (130) | 2 (012) | 2 (231) | 0 (130)\n"
+    "2: 1 (013) | 2 (023) | 2 (013) | 1 (302)\n"
+    "3: 0 (321) | 1 (201) | 0 (302) | 0 (210)\n",
+    "tets: 4\n0: 1 (132) | 2 (021) | 1 (023) | 1 (021)\n"
+    "1: 0 (132) | 3 (213) | 0 (023) | 0 (021)\n"
+    "2: 0 (031) | 2 (213) | 3 (130) | 2 (103)\n"
+    "3: 3 (203) | 2 (302) | 3 (102) | 1 (103)\n",
+)
+
+
+def _ideal_neighbours(tri):
+    """The 2-3 and 3-2 neighbours of a triangulation."""
+    skeleton = build_skeleton(tri)
+    out = []
+    for move, sites in ((pachner_2_3, skeleton.face_classes),
+                        (pachner_3_2, skeleton.edge_classes)):
+        for site in sites:
+            try:
+                out.append(move(tri, site.index, skeleton)[0])
+            except MoveError:
+                continue
+    return out
+
+
+@pytest.mark.parametrize("methods", [("homology",), ("group",), ALL_METHODS])
+def test_edge_classes_agree_with_the_decider(m136, fig8, methods):
+    """Over m136, fig8, the 123 pillow outputs of m136, the 2-3/3-2
+    neighbours of m136 and fig8, and the searched tables with their
+    neighbours: comparing two edges' H1 classes separates an ideal pair orientation exactly when the
+    decider's abelianisation step separates `parallel_test_data`'s word,
+    and the pair pass, which skips the pairs the classes separate, gives
+    every pair the state and certificate that `answer` gives it from its
+    questions, which asks nothing when no orientation's ends match."""
+    a5 = Budget(coset_nodes=100, rewrite_steps=100, quotient_degree=2,
+                quotient_nodes=100, factor_depth=3, factor_nodes=200)
+    neighbours = _ideal_neighbours(m136) + _ideal_neighbours(fig8)
+    assert len(neighbours) > 10
+    searched = [parse_table(text) for text in SEARCHED_TABLES]
+    searched += [moved for tri in searched for moved in _ideal_neighbours(tri)]
+    inputs = ([m136, fig8] + list(_pillow_outputs(m136)) + neighbours
+              + searched)
+    orientations = pairs_answered = 0
+    for tri in inputs:
+        a = essedge.certify._Analysis(tri, a5, None, methods)
+        classes = a.classes
+        for i, j in combinations(range(len(classes)), 2):
+            for flip, other in ((False, classes[j][0]),
+                                (True, classes[j][1])):
+                data = a.spine.parallel_test_data(i, j, flip)
+                if data is not None:
+                    word, h2, h1 = data
+                    separated = abelian_separation(a.presentation, h1, h2,
+                                                   word)
+                    assert ((separated is not None)
+                            == (classes[i][0] != other))
+                    orientations += 1
+        for (i, j), (state, certificate) in essedge.certify._pair_pass(
+                a).items():
+            if certificate["kind"] != "geometric_scan":
+                member, expected = a.answer(a.pair_questions(i, j))
+                assert (state, certificate) == (
+                    essedge.certify._PAIR_STATE[member], expected)
+                pairs_answered += 1
+    assert orientations > 9000 and pairs_answered > 4000
 
 
 def test_group_certificates_replay(corpus):

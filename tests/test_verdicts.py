@@ -1,12 +1,21 @@
 """The verdict JSON of a fixed set of certifications is unchanged, and
 its definite answers never depend on which other methods run."""
+import hashlib
 import json
 from collections import defaultdict
 
 import pytest
 
 import record_verdicts
-from record_verdicts import GOLDEN, as_text, differences, records
+from essedge.certify import certify_strongly_essential
+from record_verdicts import BUDGET, GOLDEN, as_text, differences, records
+from test_random_properties import _pillow_outputs
+
+# sha256 of the verdict JSON of the 123 pillow outputs of m136, in site
+# order, at the A5 budget (`record_verdicts.BUDGET`) with methods angle,
+# homology and group; recorded before pairs were answered from edge classes
+PILLOW_SWEEP_SHA256 = (
+    "e8cedf3401a61fc60b63828a677e77c9bae8ec728cd49d6fdb8bf770756e2502")
 
 
 def test_verdicts_match_golden_file():
@@ -23,6 +32,18 @@ def test_verdicts_match_golden_file():
                     "%s, in its %s (tests/record_verdicts.py --diff lists "
                     "them all)" % (len(changed), GOLDEN.name, name,
                                    list(methods), mode, ", ".join(parts)))
+
+
+def test_pillow_sweep_matches_recorded_digest(m136):
+    """Every verdict of the benchmark's pillow sweep, certificates and
+    method log included, is unchanged: a change to any pair of any output
+    fails here, not only at the benchmark's gate."""
+    verdicts = [certify_strongly_essential(
+        tri, BUDGET, methods=("angle", "homology", "group")).to_json()
+        for tri in _pillow_outputs(m136)]
+    assert len(verdicts) == 123
+    text = json.dumps(verdicts, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PILLOW_SWEEP_SHA256
 
 
 def _answers(verdict):
