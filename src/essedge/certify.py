@@ -180,6 +180,10 @@ class _Analysis:
     built on first use, once, and the log says how it was obtained."""
 
     def __init__(self, tri, budgets, shapes, methods):
+        if isinstance(methods, str) or not set(methods) <= set(ALL_METHODS):
+            raise CertifyError("methods must be a collection of names from "
+                               "%s, not %r" % (", ".join(ALL_METHODS),
+                                               methods))
         self.skeleton = as_skeleton(tri)
         self.closed = _classify(self.skeleton) == "closed"
         if shapes is not None:
@@ -248,24 +252,20 @@ class _Analysis:
         end words' difference and -d, each reduced modulo the lattice of its
         two cusps.  Conjugation does not change a subgroup's image, so that
         lattice, the span of the cusps' peripheral images and the torsion
-        columns, is every question's between those cusps, and is
-        echelonised once per cusp pair.  A pair word's image is a sum of
-        end images, so homology separates edges i, j in the orientation
-        that keeps j exactly when c(i) != c(j), and in the one that flips j
-        exactly when c(i) != c⁻(j)."""
+        columns, is every question's between those cusps, and
+        `abelian_lattice` echelonises it once per presentation.  A pair
+        word's image is a sum of end images, so homology separates edges
+        i, j in the orientation that keeps j exactly when c(i) != c(j), and
+        in the one that flips j exactly when c(i) != c⁻(j)."""
         spine = self.spine
-        lattices = {}
         classes = []
         for (x, y), (image_x, image_y) in zip(spine.ends, spine.end_images):
-            cusps = tuple(sorted({x.vertex, y.vertex}))
-            if cusps not in lattices:
-                words = tuple(w for v in cusps
-                              for w in spine.peripheral(v).words)
-                lattices[cusps] = abelian_lattice(self.presentation, words)
+            lattice = abelian_lattice(self.presentation, [
+                w for v in sorted({x.vertex, y.vertex})
+                for w in spine.peripheral(v).words])
             d = [a - b for a, b in zip(image_x, image_y)]
-            classes.append((lattice_remainder(lattices[cusps], d),
-                            lattice_remainder(lattices[cusps],
-                                              [-a for a in d])))
+            classes.append((lattice_remainder(lattice, d),
+                            lattice_remainder(lattice, [-a for a in d])))
         return classes
 
     def separated_pairs(self, pairs):

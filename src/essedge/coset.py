@@ -1,8 +1,11 @@
 """
 Todd-Coxeter coset enumeration, HLT style: follow relator paths from each
 live coset, defining cosets as needed, and merge coincidences through a
-union-find.  Enumeration is deterministic and aborts once more than the
-budgeted number of cosets has been defined.
+union-find as they arise.  One pass over the cosets, in order of
+definition, completes the table (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, §5.1; see `_Enumerator.run`).  Enumeration is
+deterministic and aborts once more than the budgeted number of cosets has
+been defined.
 """
 
 UNDEF = -1
@@ -146,32 +149,31 @@ class _Enumerator:
                     stack.append((na, nb))
 
     def run(self):
+        """The completed table, or None once the cap is passed.  One HLT
+        pass suffices: a scanned coset keeps its full row and closed
+        relator cycles, since a merge maps them onto the smaller
+        representative, scanned earlier, and the cosets the pass defines
+        are appended and scanned by the same loop."""
         start = self.add_vertex()
         for h in self.subgroup:
             self.unify(self.follow(start, h), start)
             if self.defined > self.max_cosets:
                 return None
-        # scan to a fixpoint so the final table is closed everywhere even
-        # after late coincidences
-        while True:
-            activity = (self.defined, self.merges)
-            to_visit = 0
-            while to_visit < len(self.labels):
+        to_visit = 0
+        while to_visit < len(self.labels):
+            if self.rep(to_visit) == to_visit:
+                for rel in self.relators:
+                    self.unify(self.follow(to_visit, rel), to_visit)
+                    if self.defined > self.max_cosets:
+                        return None
+                    if self.rep(to_visit) != to_visit:
+                        break
                 if self.rep(to_visit) == to_visit:
-                    for rel in self.relators:
-                        self.unify(self.follow(to_visit, rel), to_visit)
+                    for col in range(2 * self.ngens):
+                        self.step(to_visit, col)
                         if self.defined > self.max_cosets:
                             return None
-                        if self.rep(to_visit) != to_visit:
-                            break
-                    if self.rep(to_visit) == to_visit:
-                        for col in range(2 * self.ngens):
-                            self.step(to_visit, col)
-                            if self.defined > self.max_cosets:
-                                return None
-                to_visit += 1
-            if (self.defined, self.merges) == activity:
-                break
+            to_visit += 1
         return self.compress()
 
     def compress(self):

@@ -8,6 +8,9 @@ The cascade, first conclusive step wins: the empty word is a member;
 abelianisation; bounded factorisation w = p2·p1; a rewriting search to the
 empty word (only when both subgroups are trivial); a completed coset table
 for H1 (or for H2 with the inverse word); separation in a finite quotient.
+A rewriting move inserts a relator conjugate into a cyclic word; as free
+reduction cancels the common prefix, that covers replacing a prefix of a
+cyclic relator by the inverse of the rest.
 
 Every verdict is three-valued.  A yes or no carries a certificate that
 `replay_double_coset_verdict` checks independently; its "kind" is one of
@@ -45,7 +48,7 @@ default `quotient_degree`, since replay builds both subgroup images in
 S_degree and their whole product set.
 """
 import heapq
-from itertools import groupby, permutations
+from itertools import permutations
 
 from .presentation import free_reduce, inverse_word, concat, cyclic_reduce
 from .snf import in_column_span, lattice_echelon, lattice_remainder
@@ -106,8 +109,8 @@ class GroupVerdict:
 
 def _relator_closure(presentation):
     """All cyclic permutations of the cyclically reduced relators and their
-    inverses, empty relators dropped, and the same grouped by first
-    letter."""
+    inverses, empty relators dropped, sorted.  The set is closed under
+    inversion."""
     closure = set()
     for r in presentation.relators:
         r = cyclic_reduce(r)
@@ -116,9 +119,7 @@ def _relator_closure(presentation):
         for base in (r, inverse_word(r)):
             for i in range(len(base)):
                 closure.add(base[i:] + base[:i])
-    closure = sorted(closure)
-    return closure, {first: list(group) for first, group
-                     in groupby(closure, key=lambda rel: rel[0])}
+    return sorted(closure)
 
 
 def cyclic_canonical(word):
@@ -137,29 +138,19 @@ def cyclic_canonical(word):
     return best
 
 
-def _cyclic_moves(state, closure_by_first, closure, max_len):
-    """Successor canonical states: replace a prefix u of a cyclic relator
-    conjugate, read at any rotation of the state, by the inverse of the
-    rest (u may be empty, which inserts a whole inverse relator)."""
+def _cyclic_moves(state, closure, max_len):
+    """Successor canonical states: insert a relator conjugate, that is,
+    prepend a closure word to some rotation of the state.  This covers
+    replacing a prefix u of a cyclic relator conjugate u·v, read at any
+    rotation, by v⁻¹: that is the insertion of (u·v)⁻¹, whose free
+    reduction against the rotation cancels the same u."""
     out = set()
-    n = len(state)
-    rotations = [state[i:] + state[:i] for i in range(n)] or [()]
+    rotations = [state[i:] + state[:i] for i in range(len(state))] or [()]
     for rot in rotations:
         for rel in closure:
-            # u empty: prepend the inverse relator
-            new = free_reduce(inverse_word(rel) + rot)
+            new = free_reduce(rel + rot)
             if len(new) <= max_len:
                 out.add(cyclic_canonical(new))
-        if not rot:
-            continue
-        for rel in closure_by_first.get(rot[0], ()):
-            L = len(rel)
-            k = 0
-            while k < L and k < len(rot) and rel[k] == rot[k]:
-                k += 1
-                new = free_reduce(inverse_word(rel[k:]) + rot[k:])
-                if len(new) <= max_len:
-                    out.add(cyclic_canonical(new))
     return out
 
 
@@ -175,9 +166,7 @@ def rewrite_search(presentation, word, budget):
     Returns the trace as a list of canonical cyclic words ending in (),
     or None when the node budget or length cap is exhausted.
     """
-    closure, closure_by_first = _relator_closure(presentation)
-    if not closure:
-        return None if cyclic_canonical(word) else [()]
+    closure = _relator_closure(presentation)
     start = cyclic_canonical(word)
     if not start:
         return [()]
@@ -186,7 +175,8 @@ def rewrite_search(presentation, word, budget):
     # backward ball around the empty word
     back_parent = {(): None}
     back_budget = budget.rewrite_steps // 4
-    back_len = max(len(r) + budget.rewrite_slack // 2 for r in closure)
+    back_len = max((len(r) for r in closure),
+                   default=0) + budget.rewrite_slack // 2
     frontier = [()]
     expanded = 0
     for _depth in range(3):
@@ -195,8 +185,7 @@ def rewrite_search(presentation, word, budget):
             expanded += 1
             if expanded > back_budget:
                 break
-            for t in sorted(_cyclic_moves(s, closure_by_first, closure,
-                                          back_len)):
+            for t in sorted(_cyclic_moves(s, closure, back_len)):
                 if t not in back_parent:
                     back_parent[t] = s
                     nxt.append(t)
@@ -222,7 +211,7 @@ def rewrite_search(presentation, word, budget):
         expanded += 1
         if expanded > budget.rewrite_steps:
             return None
-        for t in sorted(_cyclic_moves(s, closure_by_first, closure, max_len)):
+        for t in sorted(_cyclic_moves(s, closure, max_len)):
             if t in parent:
                 continue
             parent[t] = s
@@ -238,22 +227,10 @@ def rewrite_search(presentation, word, budget):
     return None
 
 
-def check_rewrite_step(presentation, before, after):
-    """Replay one cyclic rewriting move (the move relation is symmetric,
-    so both directions are tried)."""
-    closure, closure_by_first = _relator_closure(presentation)
-    before = cyclic_canonical(before)
-    after = cyclic_canonical(after)
-    limit = max((len(before), len(after))) + max(
-        (len(r) for r in closure), default=0)
-    return (after in _cyclic_moves(before, closure_by_first, closure, limit)
-            or before in _cyclic_moves(after, closure_by_first, closure,
-                                       limit))
-
-
 def replay_rewrite_trace(presentation, word, trace):
     """Replay a triviality certificate: the trace starts at the word's
-    canonical cyclic form, every step is a legal move, and it ends empty."""
+    canonical cyclic form, every step is a legal move in one direction or
+    the other (the move relation is symmetric), and it ends empty."""
     if not (isinstance(trace, list) and all(_ints(w, bool) for w in trace)):
         return False
     if not trace:
@@ -261,8 +238,13 @@ def replay_rewrite_trace(presentation, word, trace):
     trace = [tuple(w) for w in trace]
     if trace[0] != cyclic_canonical(word) or trace[-1] != ():
         return False
-    for a, b in zip(trace, trace[1:]):
-        if not check_rewrite_step(presentation, a, b):
+    closure = _relator_closure(presentation)
+    longest = max((len(r) for r in closure), default=0)
+    for before, after in zip(trace, trace[1:]):
+        before, after = cyclic_canonical(before), cyclic_canonical(after)
+        limit = max(len(before), len(after)) + longest
+        if not (after in _cyclic_moves(before, closure, limit)
+                or before in _cyclic_moves(after, closure, limit)):
             return False
     return True
 

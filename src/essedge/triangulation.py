@@ -341,7 +341,7 @@ def parse_json(text):
     if not isinstance(doc, dict) or "tets" not in doc:
         raise ParseError("missing 'tets' field")
     n = doc["tets"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ParseError("'tets' must be a non-negative integer")
     raw = doc.get("gluings", [])
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
@@ -350,9 +350,9 @@ def parse_json(text):
         for f, entry in enumerate(row):
             if entry is not None and not (
                     isinstance(entry, list) and len(entry) == 2
-                    and isinstance(entry[0], int)
+                    and type(entry[0]) is int
                     and isinstance(entry[1], list)
-                    and all(isinstance(i, int) for i in entry[1])):
+                    and all(type(i) is int for i in entry[1])):
                 raise ParseError("gluing (%d,%d): expected null or [tet, "
                                  "[4 vertex images]], got %r" % (t, f, entry))
     try:

@@ -3,7 +3,8 @@ import importlib.resources as resources
 import pytest
 
 from essedge import parse_triangulation, build_skeleton
-from essedge.presentation import inverse_word
+from essedge.decide import cyclic_canonical
+from essedge.presentation import free_reduce, inverse_word
 from essedge.snf import homology_invariants, smith_normal_form
 
 
@@ -125,3 +126,31 @@ def inverse_times(u, w):
             break
         k += 1
     return inverse_word(u[k:]) + w[k:]
+
+
+def two_move_successors(state, closure, max_len):
+    """The rewriting moves as two kinds: prepend an inverse closure word to
+    a rotation of the state, or replace a prefix rel[:k] == rot[:k] of a
+    rotation by the inverse of rel[k:].  The reference that
+    `decide._cyclic_moves`, which only inserts closure words, is held
+    to."""
+    closure_by_first = {}
+    for rel in closure:
+        closure_by_first.setdefault(rel[0], []).append(rel)
+    out = set()
+    rotations = [state[i:] + state[:i] for i in range(len(state))] or [()]
+    for rot in rotations:
+        for rel in closure:
+            new = free_reduce(inverse_word(rel) + rot)
+            if len(new) <= max_len:
+                out.add(cyclic_canonical(new))
+        if not rot:
+            continue
+        for rel in closure_by_first.get(rot[0], ()):
+            k = 0
+            while k < len(rel) and k < len(rot) and rel[k] == rot[k]:
+                k += 1
+                new = free_reduce(inverse_word(rel[k:]) + rot[k:])
+                if len(new) <= max_len:
+                    out.add(cyclic_canonical(new))
+    return out

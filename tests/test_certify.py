@@ -76,6 +76,17 @@ def test_methods_filter(m136_skeleton):
     assert no_methods.essential == "unknown"
 
 
+@pytest.mark.parametrize("methods", [("angles",), "eometry,grou", "group",
+                                     ("group", "bogus"), ["homology", None]])
+def test_methods_outside_the_tiers_are_rejected(fig8, methods):
+    """A bare string or any name outside ALL_METHODS is an error, not a
+    filter that runs no tier or matches names by substring."""
+    for certify in (certify_essential, certify_strongly_essential):
+        with pytest.raises(CertifyError, match="methods"):
+            certify(fig8, methods=methods)
+    assert certify_essential(fig8, methods=["angle"]).essential == "yes"
+
+
 def test_group_only_agrees_with_angle_certificates(m136_skeleton):
     """Verdict consistency: the group pipeline, run on its own with a
     modest budget, never contradicts the angle certificate."""

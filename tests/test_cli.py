@@ -151,6 +151,14 @@ def test_certify_budget_and_methods(m136_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("methods", ["angles", "eometry,grou",
+                                     "angle,bogus"])
+def test_unknown_methods_are_an_error(fig8_path, capsys, methods):
+    assert main(["certify", "--strong", "--methods", methods,
+                 fig8_path]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_seed_accepted_and_ignored(m136_path, capsys):
     assert main(["--seed", "7", "validate", m136_path]) == 0
     capsys.readouterr()
@@ -175,6 +183,15 @@ def test_malformed_gluing_is_an_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"tets": 1, "gluings": [[5, null, null, null]]}')
     assert main(["certify", "--strong", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_json_boolean_for_an_integer_is_an_error(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"tets": true, "gluings": [[[0, [1, 0, 3, 2]], '
+                    '[0, [1, 0, 3, 2]], [0, [1, 0, 3, 2]], '
+                    '[0, [1, 0, 3, 2]]]]}')
+    assert main(["validate", str(path)]) == 3
     assert capsys.readouterr().err.startswith("error:")
 
 

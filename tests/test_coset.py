@@ -1,6 +1,10 @@
-from essedge.presentation import Presentation, word_from_string as words
-from essedge.coset import coset_enumeration
+import random
+
+from essedge.presentation import (Presentation, free_reduce,
+                                  word_from_string as words)
+from essedge.coset import _Enumerator, coset_enumeration
 from essedge.fundamental import presentation_closed
+from test_decide import search_presentations
 
 
 def test_cyclic_two():
@@ -63,3 +67,41 @@ def test_coset_words_cover(q8_skeleton):
     table = coset_enumeration(pres)
     cosets = {table.apply(0, w) for w in table.coset_words()}
     assert cosets == set(range(table.coset_count))
+
+
+def _scan_pass(enum):
+    """One more HLT pass over a finished enumeration: close every live
+    coset's relator cycles and fill its row."""
+    c = 0
+    while c < len(enum.labels):
+        if enum.rep(c) == c:
+            for rel in enum.relators:
+                enum.unify(enum.follow(c, rel), c)
+            for col in range(2 * enum.ngens):
+                enum.step(c, col)
+        c += 1
+
+
+def test_one_hlt_pass_completes_the_table():
+    """After a completed enumeration a second scan pass defines and merges
+    nothing, so the one pass gives the table a scan to a fixpoint gives:
+    for the trivial subgroup and seeded cyclic ones, under several caps."""
+    rng = random.Random(5)
+    completed = incomplete = 0
+    for presentation in search_presentations():
+        n = presentation.generator_count
+        subgroups = [[]] + [
+            [free_reduce([rng.choice((1, -1)) * rng.randint(1, n)
+                          for _ in range(rng.randint(1, 3))])]
+            for _ in range(2)]
+        for subgroup in subgroups:
+            for cap in (50, 400, 3000):
+                enum = _Enumerator(n, presentation.relators, subgroup, cap)
+                if enum.run() is None:
+                    incomplete += 1
+                    continue
+                activity = enum.defined, enum.merges
+                _scan_pass(enum)
+                assert (enum.defined, enum.merges) == activity
+                completed += 1
+    assert completed > 100 and incomplete > 20

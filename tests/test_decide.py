@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 import random
 import tracemalloc
 from itertools import combinations, product
@@ -8,19 +10,22 @@ import pytest
 import essedge.decide
 from essedge import build_skeleton, parse_triangulation
 from essedge.certify import _Analysis
-from essedge.presentation import (Presentation, word_from_string as words,
+from essedge.presentation import (Presentation, homology,
+                                  word_from_string as words,
                                   inverse_word, free_reduce, concat)
 from essedge.decide import (Budget, GroupVerdict, decide_word,
                             decide_membership, decide_double_coset,
-                            replay_rewrite_trace, replay_word_verdict,
+                            rewrite_search, replay_rewrite_trace,
+                            replay_word_verdict,
                             replay_double_coset_verdict, quotient_search,
                             subgroup_closure, _evaluate, abelian_separation,
                             _double_coset_separation)
-from essedge.coset import CosetTable
+from essedge.coset import CosetTable, coset_enumeration
 from essedge.fundamental import presentation_closed, presentation_spine
 from essedge.moves import pillow_0_2
+from essedge.triangulation import to_table
 from test_random_properties import random_closed_triangulation
-from conftest import inverse_times
+from conftest import fixture_text, inverse_times, two_move_successors
 
 
 Z2 = Presentation(1, [words("aa")])
@@ -529,3 +534,132 @@ def test_factorization_scan_matches_the_unpruned_scan():
             hits += expected is not None
             misses += expected is None
     assert hits > 300 and misses > 100
+
+
+def search_presentations():
+    """The presentations the group-search tests run over: the spine
+    presentations of m136 and of the first triangulations of the seeded
+    random closed corpus, the closed presentations of q8 and of those of
+    the corpus with one vertex, and seeded random presentations."""
+    m136 = build_skeleton(parse_triangulation(fixture_text("m136.tri")))
+    q8 = build_skeleton(parse_triangulation(fixture_text("q8.tri")))
+    out = [presentation_spine(m136), presentation_closed(q8)]
+    rng = random.Random(20260808)
+    for _ in range(12):
+        skeleton = build_skeleton(random_closed_triangulation(rng))
+        out.append(presentation_spine(skeleton))
+        if skeleton.classification == "closed_manifold_1vertex":
+            out.append(presentation_closed(skeleton))
+    rng = random.Random(7)
+    for _ in range(12):
+        k = rng.randint(1, 3)
+        out.append(Presentation(k, [
+            [rng.choice((1, -1)) * rng.randint(1, k)
+             for _ in range(rng.randint(1, 6))]
+            for _ in range(rng.randint(1, 3))]))
+    return out
+
+
+def seeded_words(presentation, rng, count=3):
+    """Seeded words: mostly products of one or two relator conjugates,
+    which are trivial, and otherwise random words."""
+    n, relators = presentation.generator_count, presentation.relators
+
+    def letters(k):
+        return [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(k)]
+
+    out = []
+    for _ in range(count):
+        if not any(relators) or rng.random() < 0.4:
+            out.append(free_reduce(letters(rng.randint(1, 5))))
+            continue
+        w = ()
+        for _ in range(rng.randint(1, 2)):
+            c, r = free_reduce(letters(rng.randint(0, 2))), rng.choice(relators)
+            if rng.random() < 0.5:
+                r = inverse_word(r)
+            w = concat(w, c, r, inverse_word(c))
+        out.append(w)
+    return out
+
+
+def test_relator_insertions_are_the_two_kinds_of_move(monkeypatch):
+    """Inserting relator conjugates gives the same successors as the two
+    kinds of move, inverse-relator insertion and replacing a relator
+    prefix by the inverse of the rest, on the states that seeded searches
+    expand: the backward ball and the forward states of seeded words."""
+    moves = essedge.decide._cyclic_moves
+    expanded = []
+
+    def recorded(state, closure, max_len):
+        expanded.append((state, closure, max_len))
+        return moves(state, closure, max_len)
+
+    monkeypatch.setattr(essedge.decide, "_cyclic_moves", recorded)
+    rng = random.Random(23)
+    budget = Budget(rewrite_steps=40)
+    for presentation in search_presentations():
+        for w in seeded_words(presentation, rng):
+            rewrite_search(presentation, w, budget)
+    sample = random.Random(29).sample(expanded, 800)
+    assert sum(len(state) > 4 for state, _c, _l in sample) > 300
+    for state, closure, max_len in sample:
+        assert (moves(state, closure, max_len)
+                == two_move_successors(state, closure, max_len))
+
+
+# sha256 of the rewriting traces of `rewrite_traces`, as the search with
+# the two kinds of move found them
+REWRITE_TRACES_DIGEST = (
+    "03ba8cd79b0ab0843fa1589aa1d641eb74af60ce10e847ae03f7332fa401fb10")
+
+
+def rewrite_traces():
+    rng = random.Random(11)
+    budget = Budget(rewrite_steps=150, rewrite_slack=6)
+    return [(presentation, w, rewrite_search(presentation, w, budget))
+            for presentation in search_presentations()
+            for w in seeded_words(presentation, rng)]
+
+
+def test_rewrite_traces_match_the_recorded_digest():
+    found = 0
+    traces = []
+    for presentation, w, trace in rewrite_traces():
+        if trace is not None:
+            trace = [list(state) for state in trace]
+            assert replay_rewrite_trace(presentation, w, trace)
+            found += 1
+        traces.append(trace)
+    assert found > 50 and len(traces) - found > 10
+    digest = hashlib.sha256(json.dumps(traces).encode()).hexdigest()
+    assert digest == REWRITE_TRACES_DIGEST
+
+
+# random_closed_triangulation(random.Random(494), 4): one vertex, H1 = Z
+INFINITE_PI1 = """tets: 2
+0: 0 (231) | 1 (213) | 1 (203) | 0 (201)
+1: 1 (130) | 1 (201) | 0 (203) | 0 (103)
+"""
+
+
+def test_closed_input_with_infinite_fundamental_group():
+    """pi_1 is infinite, so no coset table of the trivial subgroup
+    completes, and rewriting alone shows a word trivial."""
+    tri = parse_triangulation(INFINITE_PI1)
+    assert to_table(random_closed_triangulation(random.Random(494), 4)) \
+        == INFINITE_PI1
+    skeleton = build_skeleton(tri)
+    assert skeleton.classification == "closed_manifold_1vertex"
+    presentation = presentation_closed(skeleton)
+    assert homology(presentation) == (0,)
+    assert coset_enumeration(presentation, (), max_cosets=500) is None
+    r1, r2 = presentation.relators[:2]
+    word = concat((2,), r1, (-2,), (1, 3), r2, (-3, -1))
+    assert word
+    verdict = decide_word(presentation, word)
+    assert verdict.answer == "no"
+    assert verdict.certificate["kind"] == "rewriting_trace"
+    assert replay_word_verdict(presentation, word, verdict)
+    assert replay_rewrite_trace(presentation, word,
+                                verdict.certificate["trace"])

@@ -50,6 +50,20 @@ def test_parse_errors():
         parse_table("tets: 2\n0: 1 (012) | 1 (013) | 1 (023) | 1 (123)")
 
 
+def test_json_booleans_are_not_integers():
+    """true and false are ints to Python, but not tetrahedron indices or
+    vertex images: they would not round-trip through to_json."""
+    glued = [0, [1, 0, 3, 2]]
+    doc = {"tets": 1, "gluings": [[glued] * 4]}
+    tri = parse_triangulation(json.dumps(doc))
+    assert tri.to_json() == doc
+    for forged in ({"tets": True, "gluings": doc["gluings"]},
+                   {"tets": 1, "gluings": [[[True, [1, 0, 3, 2]]] * 4]},
+                   {"tets": 1, "gluings": [[[0, [True, False, 3, 2]]] * 4]}):
+        with pytest.raises(ParseError):
+            parse_triangulation(json.dumps(forged))
+
+
 def test_validate_m136(m136):
     assert m136.validate().valid
 
