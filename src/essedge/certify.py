@@ -29,9 +29,11 @@ closed triangulation runs only the homology and group tiers its methods
 name, and takes no shapes.
 
 An ideal pair is first compared by its edges' H1 classes (see
-`_Analysis.classes`): a pair that homology separates in every orientation
-whose ends match is not parallel without a question asked, and only the
-other pairs reach the decider.
+`_Analysis.classes`), exponent vectors reduced modulo the lattice of
+their cusps, so no Smith normal form of the relator matrix is computed:
+a pair that homology separates in every orientation whose ends match is
+not parallel without a question asked, and only the other pairs reach
+the decider.
 
 Every yes/no answer carries the certificate that produced it, tagged by
 its tier: {"kind": tag, "detail": the decider's certificate}, with the
@@ -46,8 +48,8 @@ from functools import cache, cached_property
 from itertools import combinations
 
 from .angles import solve_angle_lp
-from .decide import (Budget, abelian_lattice, abelian_separation,
-                     decide_double_coset)
+from .decide import (Budget, abelian_separation, decide_double_coset,
+                     exponent_lattice)
 from .develop import develop_and_scan
 from .fundamental import SpineData, presentation_closed
 from .presentation import concat
@@ -248,22 +250,26 @@ class _Analysis:
 
     @cached_property
     def classes(self):
-        """classes[e]: the H1 classes (c, c⁻) of edge e, the image d of its
-        end words' difference and -d, each reduced modulo the lattice of its
-        two cusps.  Conjugation does not change a subgroup's image, so that
-        lattice, the span of the cusps' peripheral images and the torsion
-        columns, is every question's between those cusps, and
-        `abelian_lattice` echelonises it once per presentation.  A pair
-        word's image is a sum of end images, so homology separates edges
-        i, j in the orientation that keeps j exactly when c(i) != c(j), and
-        in the one that flips j exactly when c(i) != c⁻(j)."""
-        spine = self.spine
+        """classes[e]: the H1 classes (c, c⁻) of edge e, the exponent vector
+        d of its end words' difference and -d, each reduced modulo the
+        lattice of its two cusps.  Conjugation does not change an exponent
+        vector, so that lattice, the span of the relator rows and the cusps'
+        peripheral vectors, is every question's between those cusps, and
+        `exponent_lattice` echelonises it once per presentation.  A pair
+        word's exponent vector is a sum of end vectors, so homology
+        separates edges i, j in the orientation that keeps j exactly when
+        c(i) != c(j), and in the one that flips j exactly when
+        c(i) != c⁻(j)."""
+        spine, vector = self.spine, self.presentation.exponent_vector
+        lattices = {}  # exponent_lattice derives its key on every call
         classes = []
-        for (x, y), (image_x, image_y) in zip(spine.ends, spine.end_images):
-            lattice = abelian_lattice(self.presentation, [
-                w for v in sorted({x.vertex, y.vertex})
-                for w in spine.peripheral(v).words])
-            d = [a - b for a, b in zip(image_x, image_y)]
+        for x, y in spine.ends:
+            cusps = tuple(sorted({x.vertex, y.vertex}))
+            if cusps not in lattices:
+                lattices[cusps] = exponent_lattice(self.presentation, [
+                    w for v in cusps for w in spine.peripheral(v).words])
+            lattice = lattices[cusps]
+            d = [a - b for a, b in zip(vector(x.word), vector(y.word))]
             classes.append((lattice_remainder(lattice, d),
                             lattice_remainder(lattice, [-a for a in d])))
         return classes

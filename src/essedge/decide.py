@@ -5,9 +5,10 @@ H1, H2?  Word triviality is the question w ∈ 1·1 (`decide_word` answers
 "is w nontrivial?", the negation) and subgroup membership is w ∈ 1·H.
 
 The cascade, first conclusive step wins: the empty word is a member;
-abelianisation; bounded factorisation w = p2·p1; a rewriting search to the
-empty word (only when both subgroups are trivial); a completed coset table
-for H1 (or for H2 with the inverse word); separation in a finite quotient.
+abelianisation; bounded factorisation w = p2·p1, tried only when w's
+exponent sums allow one; a rewriting search to the empty word (only when
+both subgroups are trivial); a completed coset table for H1 (or for H2
+with the inverse word); separation in a finite quotient.
 A rewriting move inserts a relator conjugate into a cyclic word; as free
 reduction cancels the common prefix, that covers replacing a prefix of a
 cyclic relator by the inverse of the rest.
@@ -33,19 +34,20 @@ Unknown carries "budget_exhausted" and the budget.  All searches are
 deterministic and ordered, so a definite verdict at some budget is
 returned unchanged at any larger budget.
 
-The searches are shared per presentation: each abelian lattice (the
-echelon basis of the subgroups' images and the torsion columns), keyed by
-its subgroup words, each coset attempt, keyed by its subgroup words and
-cap (a failed one too), and each factorisation product table, keyed by
-its words, depth and node budget, with the set of product lengths that
-the scan prunes by, is built once, on first use, into the presentation's
-`built` store and read from there by every later question.  Since all
-are deterministic, sharing changes no verdict or certificate.  Replay
-never reads the store: it enumerates afresh.  A certificate cannot set
-how long its replay runs: a "yes" coset table's cap must lie within the
-default `coset_nodes`, and a quotient separation's degree within the
-default `quotient_degree`, since replay builds both subgroup images in
-S_degree and their whole product set.
+The searches are shared per presentation: each exponent lattice (the
+echelon basis of the span of some words' exponent vectors, with or
+without the relator rows), keyed by the set of its vectors, so that
+conjugate subgroups share one, each coset attempt, keyed by its subgroup
+words and cap (a failed one too), and each factorisation product table,
+keyed by its words, depth and node budget, with the set of product
+lengths that the scan prunes by, is built once, on first use, into the
+presentation's `built` store and read from there by every later
+question.  Since all are deterministic, sharing changes no verdict or
+certificate.  Replay never reads the store: it enumerates afresh.  A
+certificate cannot set how long its replay runs: a "yes" coset table's
+cap must lie within the default `coset_nodes`, and a quotient
+separation's degree within the default `quotient_degree`, since replay
+builds both subgroup images in S_degree and their whole product set.
 """
 import heapq
 from itertools import permutations
@@ -391,37 +393,29 @@ def decide_membership(presentation, subgroup_words, word, budget=None):
     return decide_double_coset(presentation, subgroup_words, (), word, budget)
 
 
-def _abelian_columns(presentation, subgroup_words):
-    """The subgroups' images in the coordinates of the presentation's
-    abelianisation, and the torsion columns d_i e_i that the relators span
-    there."""
-    moduli = presentation.abelianization[1]
-    columns = [presentation.abelian_coordinates(h) for h in subgroup_words]
-    columns += [[d if k == i else 0 for k in range(len(moduli))]
-                for i, d in enumerate(moduli) if d]
-    return columns
-
-
-def abelian_lattice(presentation, subgroup_words):
-    """The echelon basis (`snf.lattice_echelon`) of the span of the
-    subgroups' and relators' images in H1, built once per presentation and
-    subgroup words.  Conjugating a subgroup does not change its image."""
-    words = tuple(map(tuple, subgroup_words))
-    return _built(presentation, ("lattice", words), lambda: lattice_echelon(
-        _abelian_columns(presentation, words),
-        len(presentation.abelianization[1])))
+def exponent_lattice(presentation, words, relators=True):
+    """The echelon basis (`snf.lattice_echelon`) of the span of the words'
+    exponent vectors, and of the relators' unless `relators` is False,
+    built once per presentation and set of vectors.  Conjugating a word
+    does not change its exponent vector, so conjugate subgroups share a
+    lattice."""
+    vectors = sorted({tuple(presentation.exponent_vector(w)) for w in words})
+    return _built(presentation, ("lattice", tuple(vectors), relators),
+                  lambda: lattice_echelon(
+                      vectors + (presentation.relator_matrix() if relators
+                                 else []),
+                      presentation.generator_count))
 
 
 def abelian_separation(presentation, h1_words, h2_words, word):
     """The decider's abelianisation step, which also runs on its own: a "no"
     verdict when the word's exponent vector lies outside the integer span
     of the subgroups' and relators' exponent vectors, else None."""
+    image = presentation.exponent_vector(word)
     if not any(lattice_remainder(
-            abelian_lattice(presentation, [*h1_words, *h2_words]),
-            presentation.abelian_coordinates(word))):
+            exponent_lattice(presentation, [*h1_words, *h2_words]), image)):
         return None
-    return GroupVerdict("no", {"kind": "abelianization",
-                               "image": presentation.exponent_vector(word)})
+    return GroupVerdict("no", {"kind": "abelianization", "image": image})
 
 
 def _product(words, factors):
@@ -533,10 +527,18 @@ def decide_double_coset(presentation, h1_words, h2_words, word, budget=None):
 
 def _factorization(presentation, h1_words, h2_words, word, budget):
     """The factor lists of the first product p2 of the H2 table, in its
-    order, with p2^-1 w in the H1 table, or None.  For freely reduced p2 and
-    w only their common prefix, of length k, cancels, so p2^-1 w has length
-    |p2| + |w| - 2k and is built only when the H1 table has a product of
-    that length."""
+    order, with p2^-1 w in the H1 table, or None.  Free reduction keeps
+    exponent sums, so w = p2·p1 puts w's exponent vector in the span of
+    the subgroups' vectors, relators left out; a word outside it has no
+    factorisation at any depth and builds no table.  For freely reduced p2
+    and w only their common prefix, of length k, cancels, so p2^-1 w has
+    length |p2| + |w| - 2k and is built only when the H1 table has a
+    product of that length."""
+    if any(lattice_remainder(
+            exponent_lattice(presentation, [*h1_words, *h2_words],
+                             relators=False),
+            presentation.exponent_vector(word))):
+        return None
     depth, nodes = budget.factor_depth, budget.factor_nodes
     (t1, lengths1), (t2, _) = (
         _built(presentation, ("factor", tuple(h), depth, nodes),
@@ -617,8 +619,9 @@ def replay_double_coset_verdict(presentation, h1_words, h2_words, word,
         return kind == "budget_exhausted"
     if kind == "abelianization":
         return verdict.answer == "no" and not in_column_span(
-            _abelian_columns(presentation, h1_words + h2_words),
-            presentation.abelian_coordinates(word))
+            presentation.relator_matrix() + [presentation.exponent_vector(h)
+                                             for h in h1_words + h2_words],
+            presentation.exponent_vector(word))
     if kind == "factorization":
         p2 = _product(h2_words, cert.get("h2_factors"))
         p1 = _product(h1_words, cert.get("h1_factors"))

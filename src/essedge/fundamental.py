@@ -19,11 +19,11 @@ one relation among the link's cotree cycles off the edge's pivots.
 
 Each of the 2E edge ends is recorded once (`SpineData.ends`): its vertex
 class and the word of its link-tree path, with the peripheral subgroup
-conjugated by that word and the word's image in H1 built on first use.
-The edge loops and the parallel-test instances are concatenations of these
-words, so their images in H1 are sums of the end images.  A torus link's
-peripheral system holds two generator words and their crossing cycles,
-which the cusp rows of the gluing equations read.
+conjugated by that word built on first use.  The edge loops and the
+parallel-test instances are concatenations of these words, so their
+exponent vectors are sums of the end words'; the spine keeps no images in
+H1.  A torus link's peripheral system holds two generator words and their
+crossing cycles, which the cusp rows of the gluing equations read.
 """
 from collections import namedtuple
 from functools import cached_property
@@ -198,13 +198,6 @@ class SpineData:
         of its first corner (t, (a, b))."""
         firsts = (e.corners[0] for e in self.skeleton.edge_classes)
         return [tuple(self._end(t, v) for v in ab) for t, ab in firsts]
-
-    @cached_property
-    def end_images(self):
-        """end_images[e]: the H1 images (`Presentation.abelian_coordinates`)
-        of the words of edge e's two ends, in the order of `ends`."""
-        image = self.presentation.abelian_coordinates
-        return [tuple(image(end.word) for end in ends) for ends in self.ends]
 
     def _end(self, t, v):
         vertex = self.vertex_of_end(t, v)

@@ -3,7 +3,9 @@ Words and finite presentations.  A word is a tuple of nonzero ints, letter
 +-(g+1) standing for generator g or its inverse.  Free reduction is the
 only normalisation ever applied implicitly.  A presentation's
 abelianisation is `snf.cokernel` of its relator matrix, the one SNF
-cokernel routine, which the peripheral choice of a cusp also reads.
+cokernel routine, which the peripheral choice of a cusp also reads.  The
+group decider and certification need no SNF: they compare exponent
+vectors modulo lattices (`decide.exponent_lattice`).
 """
 from functools import cached_property
 from operator import mul
@@ -91,11 +93,6 @@ class Presentation:
         relator matrix."""
         return cokernel(self.relator_matrix(), self.generator_count)
 
-    def abelian_coordinates(self, word):
-        """The word in the coordinates of H1, not reduced by the moduli."""
-        v = self.exponent_vector(word)
-        return [sum(map(mul, row, v)) for row in self.abelianization[0]]
-
     def __repr__(self):
         return "Presentation(%d generators | %s)" % (
             self.generator_count,
@@ -111,9 +108,10 @@ def homology(presentation):
 def word_image(presentation, word):
     """Image of a word in the abelianisation, reduced to a canonical tuple
     (zero exactly for words trivial in the abelianisation)."""
+    v = presentation.exponent_vector(word)
+    coordinates, moduli = presentation.abelianization
     return tuple(c % d if d else c for c, d in zip(
-        presentation.abelian_coordinates(word),
-        presentation.abelianization[1]))
+        (sum(map(mul, row, v)) for row in coordinates), moduli))
 
 
 def simplify_presentation(presentation, budget=1000):

@@ -128,6 +128,18 @@ def inverse_times(u, w):
     return inverse_word(u[k:]) + w[k:]
 
 
+def reference_factorization(t1, t2, word):
+    """The factorisation scan with neither the exponent-sum filter nor
+    length pruning: the factor lists of the first product p2 of the H2
+    table, in its order, with p2^-1 w in the H1 table, or None.  The
+    reference `decide._factorization` is held to."""
+    for p2, factors2 in t2.items():
+        rest = inverse_times(p2, word)
+        if rest in t1:
+            return factors2, t1[rest]
+    return None
+
+
 def two_move_successors(state, closure, max_len):
     """The rewriting moves as two kinds: prepend an inverse closure word to
     a rotation of the state, or replace a prefix rel[:k] == rot[:k] of a

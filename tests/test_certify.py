@@ -177,9 +177,11 @@ def test_one_angle_lp_per_certification(monkeypatch, m136_shapes):
     assert calls == {"solve_lp": 1, "solve_angle_lp": 2}
 
 
-def test_one_abelianisation_per_certification(monkeypatch):
-    """Every group question of a pillow certification at the A5 budget
-    reads the presentation's one abelianisation."""
+def test_no_abelianisation_in_certification(monkeypatch):
+    """A pillow certification at the A5 budget asks many abelian questions,
+    of edges and pairs alike, and answers every one on exponent vectors:
+    it never computes the presentation's abelianisation, a Smith normal
+    form of the relator matrix."""
     calls = Counter()
     derive = Presentation.abelianization.func
 
@@ -197,7 +199,7 @@ def test_one_abelianisation_per_certification(monkeypatch):
                     quotient_nodes=100, factor_depth=3, factor_nodes=200)
     certify_strongly_essential(pillow, budget,
                                methods=("angle", "homology", "group"))
-    assert calls["abelianization"] == 1
+    assert calls["abelianization"] == 0
     assert calls["abelian_separation"] > 1
 
 
@@ -234,17 +236,21 @@ def test_group_searches_built_once_per_certification(monkeypatch):
 
 
 def test_lattices_built_once_per_certification(monkeypatch):
-    """Every abelian lattice of a pillow certification at the A5 budget,
-    keyed by its subgroup words, is echelonised once, and the edge classes
-    read the one lattice of the cusp, which the edge questions share."""
+    """Every exponent lattice of a pillow certification at the A5 budget,
+    keyed by its set of vectors and whether it holds the relator rows, is
+    echelonised once.  The edge classes, the edge questions and the pair
+    questions, whose subgroups are conjugates of the one cusp's
+    peripheral subgroup, all read the one lattice of the cusp."""
     built = Counter()
-    columns = essedge.decide._abelian_columns
+    store = essedge.decide._built
 
-    def counted(presentation, words):
-        built[tuple(words)] += 1
-        return columns(presentation, words)
+    def counted(presentation, key, build):
+        def counted_build():
+            built[key] += 1
+            return build()
+        return store(presentation, key, counted_build)
 
-    monkeypatch.setattr(essedge.decide, "_abelian_columns", counted)
+    monkeypatch.setattr(essedge.decide, "_built", counted)
     questions = Counter()
     _count_calls(monkeypatch, essedge.decide.abelian_separation, questions)
     m136 = parse_triangulation(fixture_text("m136.tri"))
@@ -255,9 +261,12 @@ def test_lattices_built_once_per_certification(monkeypatch):
     verdict = certify_strongly_essential(
         skeleton, budget, methods=("angle", "homology", "group"))
     assert set(built.values()) == {1}, built.most_common(3)
-    assert questions["abelian_separation"] > 2 * len(built)
-    cusp = essedge.fundamental.SpineData(skeleton).peripheral(0).words
-    assert cusp in built
+    spine = essedge.fundamental.SpineData(skeleton)
+    cusp = tuple(sorted({tuple(spine.presentation.exponent_vector(w))
+                         for w in spine.peripheral(0).words}))
+    lattices = {key for key in built if key[0] == "lattice"}
+    assert {key for key in lattices if key[2]} == {("lattice", cusp, True)}
+    assert questions["abelian_separation"] > 2 * len(lattices)
     separated = [c for state, c in verdict.pair_table.values()
                  if state == "not_parallel"]
     assert separated and all(c == {"kind": "homology"} for c in separated)

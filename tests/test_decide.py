@@ -21,11 +21,13 @@ from essedge.decide import (Budget, GroupVerdict, decide_word,
                             subgroup_closure, _evaluate, abelian_separation,
                             _double_coset_separation)
 from essedge.coset import CosetTable, coset_enumeration
+from essedge.snf import in_column_span
 from essedge.fundamental import presentation_closed, presentation_spine
 from essedge.moves import pillow_0_2
 from essedge.triangulation import to_table
 from test_random_properties import random_closed_triangulation
-from conftest import fixture_text, inverse_times, two_move_successors
+from conftest import (fixture_text, reference_factorization,
+                      two_move_successors)
 
 
 Z2 = Presentation(1, [words("aa")])
@@ -490,16 +492,6 @@ def _reference_table(gens, depth, node_budget):
     return table
 
 
-def _reference_scan(t1, t2, word):
-    """The factorisation scan before length pruning: p2^-1 w for every H2
-    product, in table order."""
-    for p2, factors2 in t2.items():
-        rest = inverse_times(p2, word)
-        if rest in t1:
-            return factors2, t1[rest]
-    return None
-
-
 def test_factorization_scan_matches_the_unpruned_scan():
     """The product tables, their order included, and the scan's first hit
     and factor lists are those of the unpruned scan: on seeded random
@@ -528,12 +520,59 @@ def test_factorization_scan_matches_the_unpruned_scan():
                     for _ in range(4)]
         presentation = Presentation(3, [])
         for w in filter(None, targets):
-            expected = _reference_scan(t1, t2, w)
+            expected = reference_factorization(t1, t2, w)
             assert essedge.decide._factorization(
                 presentation, h1, h2, w, budget) == expected
             hits += expected is not None
             misses += expected is None
     assert hits > 300 and misses > 100
+
+
+def test_factorization_filter_drops_only_words_without_products():
+    """The exponent-sum filter drops only words that no product p2·p1
+    reaches.  Over seeded random presentations and subgroup words: every
+    product of the two product tables, to depth 3, is still found, with
+    the unfiltered reference scan's factor lists; on seeded random words
+    the result is the reference scan's; and a word builds product tables
+    exactly when its exponent vector lies in the span of the subgroups'
+    vectors, the relators left out."""
+    rng = random.Random(29)
+    products = dropped = kept = 0
+    for trial in range(60):
+        k = rng.randint(1, 4)
+        letters = [g for g in range(-k, k + 1) if g]
+
+        def word(n):
+            return free_reduce(rng.choice(letters) for _ in range(n))
+
+        relators = [word(rng.randint(1, 6)) for _ in range(rng.randint(0, 3))]
+        presentation = Presentation(k, relators)
+        h1 = [word(rng.randint(0, 3)) for _ in range(rng.randint(0, 2))]
+        h2 = [word(rng.randint(0, 3)) for _ in range(rng.randint(0, 2))]
+        nodes = rng.choice((20, 40))
+        budget = Budget(factor_depth=3, factor_nodes=nodes)
+        t1, _ = essedge.decide._product_table(h1, 3, nodes)
+        t2, _ = essedge.decide._product_table(h2, 3, nodes)
+        for w in sorted({concat(p2, p1) for p2 in t2 for p1 in t1} - {()}):
+            expected = reference_factorization(t1, t2, w)
+            assert expected is not None
+            assert essedge.decide._factorization(
+                presentation, h1, h2, w, budget) == expected
+            products += 1
+        subgroup_vectors = [presentation.exponent_vector(h) for h in h1 + h2]
+        for _ in range(20):
+            w = word(rng.randint(1, 8))
+            if not w:
+                continue
+            fresh = Presentation(k, relators)
+            found = essedge.decide._factorization(fresh, h1, h2, w, budget)
+            assert found == reference_factorization(t1, t2, w)
+            tables = any(key[0] == "factor" for key in fresh.built)
+            assert tables == in_column_span(subgroup_vectors,
+                                            fresh.exponent_vector(w))
+            kept += tables
+            dropped += not tables
+    assert products > 2000 and dropped > 500 and kept > 200
 
 
 def search_presentations():

@@ -7,6 +7,7 @@ classes against the group decider.
 """
 import random
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +21,7 @@ from essedge.decide import (Budget, abelian_separation, decide_word,
                             decide_double_coset, replay_word_verdict,
                             replay_membership_verdict,
                             replay_double_coset_verdict)
-from essedge.fundamental import presentation_spine
+from essedge.fundamental import EdgeEnd, presentation_spine
 from essedge.linprog import solve_lp
 from essedge.moves import pachner_2_3, pachner_3_2, pillow_0_2, MoveError
 from essedge.presentation import (homology, word_image,
@@ -323,6 +324,26 @@ def test_edge_classes_agree_with_the_decider(m136, fig8, methods):
                     essedge.certify._PAIR_STATE[member], expected)
                 pairs_answered += 1
     assert orientations > 9000 and pairs_answered > 4000
+
+
+def test_separated_pairs_read_the_orientation_that_flips_j():
+    """Two edges that run between two cusps in opposite directions match
+    ends only in the orientation that flips j, so that orientation alone
+    decides whether homology separates them: it compares c(i) with c⁻(j).
+    No searched table has such edges with classes of order above 2, so
+    the ends and classes are built by hand: edges 0 and 3 run from cusp 0
+    to cusp 1, edges 1 and 2 from cusp 1 to cusp 0, and the classes lie in
+    Z/3, where c⁻ = -c differs from c."""
+    forward = EdgeEnd(0, ()), EdgeEnd(1, ())
+    backward = EdgeEnd(1, ()), EdgeEnd(0, ())
+    analysis = SimpleNamespace(
+        spine=SimpleNamespace(ends=[forward, backward, backward, forward]),
+        classes=[((1,), (2,)), ((1,), (2,)), ((2,), (1,)), ((1,), (2,))])
+    pairs = list(combinations(range(4), 2))
+    # (0, 1) and (1, 3): flipped, c(i) != c⁻(j); (1, 2): kept, c(1) != c(2);
+    # (0, 2) and (2, 3): flipped, c(i) == c⁻(j); (0, 3): kept, equal
+    assert essedge.certify._Analysis.separated_pairs(analysis, pairs) == {
+        (0, 1), (1, 2), (1, 3)}
 
 
 def test_group_certificates_replay(corpus):
