@@ -95,12 +95,25 @@ def max_min_angle(skeleton):
     optimal witness) for t* the largest possible smallest angle, or None
     when the angle equations have no solution."""
     system = AngleSystem(skeleton)
-    A, ncols = system.matrix, system.columns
+    ncols, n = system.columns, skeleton.triangulation.tet_count
+    # take each tetrahedron row off the edge rows as often as they hold its
+    # slot 2: the same solutions, and each slot-2 column becomes a unit
+    # column, which solve_lp starts basic
+    A = [list(row) for row in system.matrix]
+    rhs = list(system.rhs)
+    for i in range(n, len(A)):
+        row = A[i]
+        for s in range(2, ncols, 3):
+            k = row[s]
+            if k:
+                row[s - 2] -= k
+                row[s - 1] -= k
+                row[s] = 0
+                rhs[i] -= k
     # substitute x = y + t, y >= 0, t = tp - tm free
-    rowsum = [sum(row) for row in A]
-    A2 = [row + [rowsum[i], -rowsum[i]] for i, row in enumerate(A)]
+    A2 = [row + [k, -k] for row, k in zip(A, map(sum, A))]
     c = [0] * ncols + [-1, 1]
-    status, x, value = solve_lp(A2, system.rhs, c)
+    status, x, value = solve_lp(A2, rhs, c)
     if status != "optimal":
         return None
     t = -value

@@ -269,9 +269,11 @@ class _Analysis:
                 lattices[cusps] = exponent_lattice(self.presentation, [
                     w for v in cusps for w in spine.peripheral(v).words])
             lattice = lattices[cusps]
-            d = [a - b for a, b in zip(vector(x.word), vector(y.word))]
-            classes.append((lattice_remainder(lattice, d),
-                            lattice_remainder(lattice, [-a for a in d])))
+            c = lattice_remainder(lattice, [
+                a - b for a, b in zip(vector(x.word), vector(y.word))])
+            # -d and -c differ by a lattice vector, so they share a
+            # remainder, and c is the sparser
+            classes.append((c, lattice_remainder(lattice, [-a for a in c])))
         return classes
 
     def separated_pairs(self, pairs):

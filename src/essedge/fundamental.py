@@ -19,7 +19,8 @@ one relation among the link's cotree cycles off the edge's pivots.
 
 Each of the 2E edge ends is recorded once (`SpineData.ends`): its vertex
 class and the word of its link-tree path, with the peripheral subgroup
-conjugated by that word built on first use.  The edge loops and the
+conjugated by that word built on first use.  The path words are built
+together, each link triangle's once, from its parent's word.  The edge loops and the
 parallel-test instances are concatenations of these words, so their
 exponent vectors are sums of the end words'; the spine keeps no images in
 H1.  A torus link's peripheral system holds two generator words and their
@@ -196,14 +197,28 @@ class SpineData:
     def ends(self):
         """ends[e]: the `EdgeEnd` records of edge e, at the a and b labels
         of its first corner (t, (a, b))."""
+        words = {}  # link triangle -> the word of its link-tree path
         firsts = (e.corners[0] for e in self.skeleton.edge_classes)
-        return [tuple(self._end(t, v) for v in ab) for t, ab in firsts]
+        return [tuple(self._end(t, v, words) for v in ab) for t, ab in firsts]
 
-    def _end(self, t, v):
+    def _end(self, t, v, words):
+        """The end at corner (t, v).  Its link-tree path climbs to the first
+        triangle with a word in `words`; each triangle below it gets its
+        parent's word times its one crossing letter, freely reduced."""
         vertex = self.vertex_of_end(t, v)
-        structure = self.skeleton.vertex_links[vertex].structure
-        return EdgeEnd(vertex, self.crossing_word(
-            structure.path_crossings((t, v))))
+        parent = self.skeleton.vertex_links[vertex].structure.parent
+        tv, chain = (t, v), []
+        while tv not in words and parent[tv] is not None:
+            chain.append(tv)
+            tv = parent[tv][0]
+        w = words.setdefault(tv, ())
+        for child in reversed(chain):
+            (u, _), f = parent[child]
+            x = self.crossing_letter(u, f)
+            if x:
+                w = w[:-1] if w and w[-1] == -x else w + (x,)
+            words[child] = w
+        return EdgeEnd(vertex, w)
 
     def _subgroup(self, end):
         """The peripheral subgroup at an end's vertex conjugated by the

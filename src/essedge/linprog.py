@@ -7,6 +7,13 @@ the last pivot (negated when that pivot was negative, with every row).
 Pivoting on p = T[r][k] replaces every other row i, the cost row included,
 by (p*T[i] - T[i][k]*T[r]) // d, an exact division, and d becomes p.  No
 row is normalised, and no Fraction is built before the answer is read.
+
+Phase 1 starts from a crash basis (Bixby 1992): a row with a unit column,
+entry 1 once a negative right-hand side has flipped the row and 0 in every
+other row, starts with that column basic, and only the other rows get an
+artificial.  Artificial columns are never stored, so one that leaves the
+basis never re-enters, and the tableau has n + 1 columns.  The optimum
+returned is some optimal vertex: which one depends on the starting basis.
 """
 from fractions import Fraction
 from math import lcm
@@ -74,6 +81,17 @@ def _scaled(rows):
             for row in rows]
 
 
+def _crash(rows, n):
+    """Row -> the first column of rows[:][:n] that is a unit vector with its
+    1 in that row, for every row that has one."""
+    crash = {}
+    for j in range(n):
+        column = [row[j] for row in rows]
+        if column.count(0) == len(rows) - 1 and 1 in column:
+            crash.setdefault(column.index(1), j)
+    return crash
+
+
 def solve_lp(A, b, c):
     """
     min c.x subject to A x = b, x >= 0, all data rational (ints or
@@ -86,17 +104,26 @@ def solve_lp(A, b, c):
     m = len(A)
     n = len(A[0]) if m else len(c)
     c = _rationals(c) + [0] * (n - len(c))
-    # one scale for the whole input keeps every ratio and sign of phase 1
-    rows = _scaled([_rationals([*row, bi]) for row, bi in zip(A, b)])
+    rows = [_rationals([*row, bi]) for row, bi in zip(A, b)]
     rows = [[-x for x in row] if row[-1] < 0 else row for row in rows]
+    crash = _crash(rows, n)
 
-    # phase 1: artificials n..n+m-1 at d = 1
-    tableau = [row[:n] + [int(j == i) for j in range(m)] + row[-1:]
-               for i, row in enumerate(rows)]
-    basis = [n + i for i in range(m)]
-    cost = [-sum(col) for col in zip(*rows)] if m else [0] * (n + 1)
-    tableau.append(cost[:n] + [0] * m + cost[-1:])
-    d = _run_simplex(tableau, basis, 1, n + m)
+    # phase 1 from the crash basis; row i's artificial is column n + i.
+    # One scale s for the whole input keeps every ratio and sign.  Basis
+    # columns s*e_i, as k crash pivots would leave them, make d = s^k; the
+    # true tableau is then the input with each uncrashed row times s.
+    s = lcm(*(x.denominator for row in rows for x in row))
+    d = s ** len(crash)
+    tableau = []
+    for i, row in enumerate(rows):
+        f = d if i in crash else d * s
+        tableau.append([x.numerator * (f // x.denominator) for x in row])
+    basis = [crash.get(i, n + i) for i in range(m)]
+    uncrashed = [row for i, row in enumerate(tableau) if i not in crash]
+    cost = ([-sum(col) for col in zip(*uncrashed)] if uncrashed
+            else [0] * (n + 1))
+    tableau.append(cost)
+    d = _run_simplex(tableau, basis, d, n)
     if tableau.pop()[-1] != 0:
         return "infeasible", None, None
 
@@ -109,7 +136,7 @@ def solve_lp(A, b, c):
                 continue  # redundant constraint
             d = _pivot(tableau, basis, d, i, col)
         keep.append(i)
-    tableau = [tableau[i][:n] + tableau[i][-1:] for i in keep]
+    tableau = [tableau[i] for i in keep]
     basis = [basis[i] for i in keep]
 
     # phase 2: the cost row d*lc - sum lc[b_i] T_i for lc = c scaled

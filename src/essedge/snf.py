@@ -192,7 +192,10 @@ def lattice_remainder(basis, target):
     for i, v in basis:
         q = t[i] // v[i]
         if q:
-            t = [a - q * b for a, b in zip(t, v)]
+            # v is zero before its pivot, and mostly zero after it
+            for k in range(i, len(t)):
+                if v[k]:
+                    t[k] -= q * v[k]
     return tuple(t)
 
 

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,9 +11,11 @@ from essedge.fundamental import (SpineData, presentation_closed,
 from essedge.presentation import (homology, word_image, concat, inverse_word,
                                   cyclic_reduce)
 from essedge.decide import decide_word
+from essedge.moves import MoveError, pachner_2_3
 
 from conftest import primal_h1, dual_h1
-from test_random_properties import _pillow_outputs
+from test_random_properties import (_pillow_outputs,
+                                    random_closed_triangulation)
 
 
 def test_q8_presentation_counts(q8_skeleton):
@@ -204,6 +208,66 @@ def test_end_records_match_link_tree_walks(m136, fig8):
                                            _path_word(spine, xb))
             assert list(h1) == _conjugated(spine, vertex_of[xa],
                                            _path_word(spine, xa))
+
+
+def test_end_words_read_one_crossing_letter_per_link_triangle(
+        m136, fig8, q8, monkeypatch):
+    """Over the fixtures, the 123 pillow outputs of m136, its 2-3
+    neighbours and the seeded closed corpus, each end record's word is the
+    link-tree path to its corner triangle walked afresh, and building the
+    records reads one crossing letter per link triangle on those paths."""
+    skeleton = build_skeleton(m136)
+    neighbours = []
+    for fc in skeleton.face_classes:
+        try:
+            neighbours.append(pachner_2_3(m136, fc.index, skeleton)[0])
+        except MoveError:
+            continue
+    assert neighbours
+    rng = random.Random(20260808)
+    corpus = [random_closed_triangulation(rng) for _ in range(100)]
+    cancelled = 0
+    for tri in ([m136, fig8, q8] + list(_pillow_outputs(m136)) + neighbours
+                + corpus):
+        spine = SpineData(build_skeleton(tri))
+        letters = Counter()
+
+        def counted(t, f, letter=spine.crossing_letter):
+            letters[(t, f)] += 1
+            return letter(t, f)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spine, "crossing_letter", counted)
+            ends = spine.ends
+        links = spine.skeleton.vertex_links
+        on_paths = set()
+        for e, pair in zip(spine.skeleton.edge_classes, ends):
+            t, ab = e.corners[0]
+            for v, end in zip(ab, pair):
+                assert end.vertex == spine.skeleton.vertex_of[(t, v)]
+                assert end.word == _path_word(spine, (t, v))
+                on_paths.update(links[end.vertex].structure.path_crossings(
+                    (t, v)))
+        assert letters == Counter((t, f) for (t, _), f in on_paths)
+
+        # the link trees' paths seldom cancel, so read them again through
+        # a five-letter alphabet, in which many do
+        spine = SpineData(spine.skeleton)
+
+        def letter(t, f):
+            return (1, -1, 0, 2, -2)[(3 * t + f) % 5]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spine, "crossing_letter", letter)
+            for e, pair in zip(spine.skeleton.edge_classes, spine.ends):
+                t, ab = e.corners[0]
+                for v, end in zip(ab, pair):
+                    assert end.word == _path_word(spine, (t, v))
+                    path = links[end.vertex].structure.path_crossings((t, v))
+                    raw = [x for x in (letter(u, f) for (u, _), f in path)
+                           if x]
+                    cancelled += len(end.word) < len(raw)
+    assert cancelled > 100
 
 
 def test_pair_questions_walk_no_link_tree_path(m136_skeleton, monkeypatch):

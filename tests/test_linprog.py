@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from essedge import linprog
+from essedge import angles, build_skeleton, linprog
 from essedge.angles import build_angle_system
 from essedge.linprog import solve_lp, LPError
 
@@ -93,20 +93,26 @@ def test_fractional_data_stays_exact():
 # ---- the fraction-free solver against a plain Fraction tableau ----
 
 def reference_lp(A, b, c):
-    """The textbook two-phase tableau over Fractions, with Bland's rule and
-    the same drive-out of artificials: ((status, x, value), pivots), or
-    (LPError, pivots) on an unbounded objective."""
+    """The textbook two-phase tableau over Fractions, with Bland's rule,
+    the solver's crash basis (each row with a unit column, entry 1 after a
+    negative right-hand side flips the row, starts with its first such
+    column basic; the other rows with artificials n + i, which are not
+    stored, so none re-enters) and the same drive-out of artificials:
+    ((status, x, value), pivots), or (LPError, pivots) on an unbounded
+    objective."""
     m = len(A)
     n = len(A[0]) if m else len(c)
     c = [Fraction(x) for x in c] + [Fraction(0)] * (n - len(c))
     rows = []
     for i in range(m):
         row = [Fraction(x) for x in A[i]] + [Fraction(b[i])]
-        if row[-1] < 0:
-            row = [-x for x in row]
-        rows.append(row[:n] + [Fraction(int(j == i)) for j in range(m)]
-                    + row[-1:])
+        rows.append([-x for x in row] if row[-1] < 0 else row)
     basis = [n + i for i in range(m)]
+    for j in range(n):
+        nonzero = [i for i in range(m) if rows[i][j]]
+        if (len(nonzero) == 1 and rows[nonzero[0]][j] == 1
+                and basis[nonzero[0]] >= n):
+            basis[nonzero[0]] = j
     pivots = 0
 
     def pivot(table, r, k):
@@ -132,10 +138,10 @@ def reference_lp(A, b, c):
                 raise LPError("objective unbounded")
             pivot(table, min(ratios)[2], k)
 
-    cost = [-sum(row[j] for row in rows) for j in range(n)]
-    rows.append(cost + [Fraction(0)] * m + [-sum(row[-1] for row in rows)])
+    artificial = [row for row, bi in zip(rows, basis) if bi >= n]
+    rows.append([-sum(row[j] for row in artificial) for j in range(n + 1)])
     try:
-        simplex(rows, n + m)
+        simplex(rows, n)
     except LPError:
         return LPError, pivots
     if rows.pop()[-1] != 0:
@@ -148,7 +154,7 @@ def reference_lp(A, b, c):
                 continue
             pivot(rows, i, k)
         keep.append(i)
-    rows = [rows[i][:n] + rows[i][-1:] for i in keep]
+    rows = [rows[i] for i in keep]
     basis[:] = [basis[i] for i in keep]
     cost = c + [Fraction(0)]
     for row, bi in zip(rows, basis):
@@ -229,14 +235,77 @@ def test_random_lps_match_the_fraction_reference(pivots):
     assert pivots["negative"] > 0
 
 
-def test_angle_lps_match_the_fraction_reference(m136, fig8, q8, pivots):
-    """The t* and feasibility LPs of the fixtures, the 123 pillow outputs
-    of m136 and the seeded closed corpus."""
+def test_planted_unit_columns_match_the_fraction_reference(pivots):
+    """300 seeded LPs, integer and rational, with unit columns planted in
+    some rows, in every row, or in a row whose negative right-hand side
+    flips the planted 1 to -1 (so that row gets an artificial) beside a
+    planted -1 that the flip makes a unit column: the same answer after the
+    same pivots.  With every row crashed, a zero objective takes none."""
+    rng = random.Random(1992)
+    for trial in range(300):
+        rational, kind = trial % 2, trial % 3
+
+        def q(lo, hi):
+            return (Fraction(rng.randint(lo, hi), rng.randint(1, 6))
+                    if rational else rng.randint(lo, hi))
+
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        A = [[q(-3, 3) for _ in range(n)] for _ in range(m)]
+        x0 = [q(0, 4) for _ in range(n)]
+        b = [sum(r * v for r, v in zip(row, x0)) + q(0, 3) for row in A]
+        if kind == 0:
+            planted = {i: 1 for i in rng.sample(range(m), rng.randint(1, m))}
+        elif kind == 1:
+            b = [abs(x) for x in b]
+            planted = {i: 1 for i in range(m)}
+        else:
+            r = rng.randrange(m)
+            b[r] = -abs(b[r]) - 1
+            planted = {r: 1}
+            if m > 1:
+                s = rng.choice([i for i in range(m) if i != r])
+                b[s] = -abs(b[s]) - 1
+                planted[s] = -1
+        for i, entry in planted.items():
+            at = rng.randint(0, len(A[0]))
+            for k, row in enumerate(A):
+                row.insert(at, entry if k == i else 0)
+        c = [q(-3, 3) for _ in A[0]] if trial % 4 else [0] * len(A[0])
+        _agrees_with_reference(A, b, c, pivots)
+        if kind == 1 and not any(c):
+            assert pivots["pivots"] == 0
+
+
+def _angle_lp_inputs(tri, monkeypatch):
+    """The (A, b, c) that `max_min_angle` hands the solver for tri."""
+    seen = []
+
+    def recorded(A, b, c):
+        seen.append((A, b, c))
+        return solve_lp(A, b, c)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(angles, "solve_lp", recorded)
+        angles.max_min_angle(build_skeleton(tri))
+    return seen[0]
+
+
+def _angle_inputs(m136, fig8, q8):
     rng = random.Random(20260808)
     corpus = [random_closed_triangulation(rng) for _ in range(100)]
     pillows = list(_pillow_outputs(m136))
     assert len(pillows) == 123
-    for tri in [m136, fig8, q8] + pillows + corpus:
+    return [m136, fig8, q8] + pillows + corpus
+
+
+def test_angle_lps_match_the_fraction_reference(m136, fig8, q8, pivots,
+                                                monkeypatch):
+    """The t* and feasibility LPs of the fixtures, the 123 pillow outputs
+    of m136 and the seeded closed corpus, as written and as `max_min_angle`
+    hands the t* LP to the solver, with its slot-2 columns cleared from
+    the edge rows: there every tetrahedron row is crashed."""
+    crashed = 0
+    for tri in _angle_inputs(m136, fig8, q8):
         system = build_angle_system(tri)
         rowsum = [sum(row) for row in system.matrix]
         t_star = [row + [k, -k] for row, k in zip(system.matrix, rowsum)]
@@ -244,3 +313,36 @@ def test_angle_lps_match_the_fraction_reference(m136, fig8, q8, pivots):
                                [0] * system.columns + [-1, 1], pivots)
         _agrees_with_reference(system.matrix, system.rhs,
                                [0] * system.columns, pivots)
+        A, b, c = _angle_lp_inputs(tri, monkeypatch)
+        assert len(A) == len(system.matrix)
+        for t in range(tri.tet_count):
+            assert [row[3 * t + 2] for row in A] == [
+                int(i == t) for i in range(len(A))]
+            crashed += 1
+        _agrees_with_reference(A, b, c, pivots)
+    assert crashed > 1000
+
+
+def test_angle_lp_optimum_is_the_untransformed_one(m136, fig8, q8):
+    """Over the fixtures, the 123 pillow outputs and the seeded closed
+    corpus, `max_min_angle`'s t* is the optimum of the plain t* LP on the
+    angle equations as written, and its witness solves those equations
+    with least entry t*."""
+    outcomes = {"feasible": 0, "infeasible": 0}
+    for tri in _angle_inputs(m136, fig8, q8):
+        skeleton = build_skeleton(tri)
+        system = build_angle_system(skeleton)
+        rowsum = [sum(row) for row in system.matrix]
+        (status, _, value), _ = reference_lp(
+            [row + [k, -k] for row, k in zip(system.matrix, rowsum)],
+            system.rhs, [0] * system.columns + [-1, 1])
+        result = angles.max_min_angle(skeleton)
+        outcomes["infeasible" if result is None else "feasible"] += 1
+        if status == "infeasible":
+            assert result is None
+            continue
+        t, witness = result
+        assert t == -value
+        assert system.satisfied_by(witness)
+        assert min(witness.entries) == t
+    assert outcomes["feasible"] > 126 and outcomes["infeasible"] > 0

@@ -1,7 +1,8 @@
 import random
 
 from essedge.snf import (smith_normal_form, abelian_invariants,
-                         solve_integer, in_column_span, homology_invariants)
+                         solve_integer, in_column_span, homology_invariants,
+                         lattice_echelon, lattice_remainder)
 
 from conftest import cokernel_reducer
 
@@ -79,6 +80,50 @@ def test_in_column_span_agrees_with_solve_integer():
         assert in_column_span(columns, target) == expected
         members += expected
     assert 0 < members < 400
+
+
+def _echelon_basis(rng, n, rank, negative):
+    """A seeded echelon basis of the given rank in Z^n: increasing pivots,
+    each vector zero before its pivot, pivot entries of either sign when
+    `negative`, else positive."""
+    basis = []
+    for p in sorted(rng.sample(range(n), rank)):
+        v = [0] * p + [rng.randint(1, 5)] + [rng.randint(-6, 6)
+                                             for _ in range(n - p - 1)]
+        if negative and rng.random() < 0.5:
+            v[p] = -v[p]
+        basis.append((p, v))
+    return basis
+
+
+def test_lattice_remainder_is_a_class_function():
+    """Over seeded echelon bases, full rank, rank-deficient and with
+    negative pivots, and those `lattice_echelon` builds: a vector and its
+    translates by the lattice share a remainder, and so do -v and -r(v),
+    which is what the H1 classes' c⁻ = r(-c) relies on."""
+    rng = random.Random(1888)
+    for trial in range(600):
+        n = rng.randint(1, 6)
+        kind = trial % 4
+        if kind == 3:
+            basis = lattice_echelon(
+                [[rng.randint(-4, 4) for _ in range(n)]
+                 for _ in range(rng.randint(0, n + 1))], n)
+        else:
+            rank = n if kind == 0 else rng.randint(0, n - 1)
+            basis = _echelon_basis(rng, n, rank, negative=kind == 2)
+        v = [rng.randint(-20, 20) for _ in range(n)]
+        r = lattice_remainder(basis, v)
+        shifted = list(v)
+        for _, b in basis:
+            k = rng.randint(-5, 5)
+            shifted = [a + k * x for a, x in zip(shifted, b)]
+        assert lattice_remainder(basis, shifted) == r
+        assert lattice_remainder(basis, r) == r
+        assert (lattice_remainder(basis, [-a for a in v])
+                == lattice_remainder(basis, [-a for a in r]))
+        for p, b in basis:
+            assert 0 <= r[p] * (1 if b[p] > 0 else -1) < abs(b[p])
 
 
 def test_cokernel_reducer():
