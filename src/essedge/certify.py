@@ -385,14 +385,15 @@ def _edge_pass(a):
         if solve_angle_lp(a.skeleton, "semi").feasible:
             a.log.append("angle: semi-angle structure found; all edges "
                          "essential")
-            return [EdgeVerdict(e, "yes", a.once("semi_angle")) for e in edges]
+            semi = a.once("semi_angle")
+            return [EdgeVerdict(e, "yes", semi) for e in edges]
         a.log.append("angle: no semi-angle structure")
     # Under a verified shape solution every edge is essential: each
     # tetrahedron develops with its shapes, none of them 0, 1 or oo, as
     # cross-ratios, so the endpoints of every lift of an edge are distinct.
     if a.uses("geometry") and a.shape_report is not None:
-        return [EdgeVerdict(e, "yes", a.once("geometric_endpoints"))
-                for e in edges]
+        endpoints = a.once("geometric_endpoints")
+        return [EdgeVerdict(e, "yes", endpoints) for e in edges]
     verdicts = []
     for e in edges:
         member, certificate = a.answer(a.edge_questions(e))
@@ -405,30 +406,30 @@ def _edge_pass(a):
 
 def _pair_pass(a):
     """The parallelism state of every pair of edges."""
+    index_pairs = _index_pairs(len(a.skeleton.edge_classes))
     report = a.development if a.uses("geometry") else None
-    coincident = None
     if report is not None and report.conclusive_for_flat_clusters:
         coincident = {tuple(sorted(p)) for cluster in report.clusters
                       for p in cluster.coincidences}
         a.log.append("geometry: flat-cluster scan conclusive; "
                      "coincident pairs %s" % sorted(coincident))
-    elif report is not None:
+        scan = a.once("geometric_scan")
+        parallel = a.pair_value("parallel", scan)
+        not_parallel = a.pair_value("not_parallel", scan)
+        return {pair: parallel if pair in coincident else not_parallel
+                for pair in index_pairs}
+    if report is not None:
         a.log.append("geometry: flat-cluster scan not conclusive")
-    index_pairs = _index_pairs(len(a.skeleton.edge_classes))
     # an ideal pair that homology separates in every orientation is not
     # parallel, with the certificate `answer` would give it
     separated, not_parallel = (), None
-    if coincident is None and not a.closed and (a.uses("homology")
-                                                or a.uses("group")):
+    if not a.closed and (a.uses("homology") or a.uses("group")):
         separated = a.separated_pairs(index_pairs)
         not_parallel = a.pair_value("not_parallel", a.once(
             "homology" if a.uses("homology") else "group_double_coset"))
     pairs = {}
     for pair in index_pairs:
-        if coincident is not None:
-            state = "parallel" if pair in coincident else "not_parallel"
-            pairs[pair] = a.pair_value(state, a.once("geometric_scan"))
-        elif pair in separated:
+        if pair in separated:
             pairs[pair] = not_parallel
         else:
             member, certificate = a.answer(a.pair_questions(*pair))
@@ -453,7 +454,8 @@ def certify_strongly_essential(tri, budgets=None, shapes=None,
         if strict.feasible:
             a.log.append("angle: strict angle structure (t* = %s); strongly "
                          "essential" % strict.optimum)
-            edges = [EdgeVerdict(e.index, "yes", a.once("strict_angle"))
+            strict_angle = a.once("strict_angle")
+            edges = [EdgeVerdict(e.index, "yes", strict_angle)
                      for e in a.skeleton.edge_classes]
             return TriangulationVerdict("yes", "yes", edges, {}, a.log)
         a.log.append("angle: strict optimum %s; no strict angle structure"

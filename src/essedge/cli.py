@@ -121,7 +121,10 @@ def cmd_angles(args):
     if outcome.witness is not None:
         payload["witness"] = [_fraction_str(x)
                               for x in outcome.witness.entries]
-    if mode == "strict":
+    if mode == "strict" and outcome.optimum is None:
+        text = "strict: %s (the angle equations have no solution)" % (
+            outcome.status)
+    elif mode == "strict":
         text = "strict: %s (t* = %s)" % (outcome.status, outcome.optimum)
     else:
         text = "semi: %s" % outcome.status

@@ -13,9 +13,10 @@ crosses the corresponding face of the triangulation, so paths on the
 boundary tori, peripheral generators, and the loops needed for the
 essential / parallel edge tests are all words in the same generators.
 Paths on a link follow the spanning tree that the skeleton's link walk
-recorded (`LinkStructure.parent`).  Going once around a link vertex crosses
-the faces around its edge class, so each edge-class end at a cusp reads
-one relation among the link's cotree cycles off the edge's pivots.
+recorded (`LinkStructure.parent`).  The link of a cusp is a triangulated
+torus whose vertices are the edge-class ends at the cusp; once a spanning
+tree of those vertices is taken out of the cotree sides, the two sides
+left close the cycles of the peripheral pair (tree-cotree decomposition).
 
 Each of the 2E edge ends is recorded once (`SpineData.ends`): its vertex
 class and the word of its link-tree path, with the peripheral subgroup
@@ -31,7 +32,6 @@ from functools import cached_property
 
 from .presentation import Presentation, free_reduce, inverse_word, concat
 from .skeleton import as_skeleton
-from .snf import cokernel
 
 # one end of an edge class: its vertex class, and the word of the link-tree
 # path from the link's basepoint to the end's corner triangle
@@ -140,43 +140,36 @@ class SpineData:
         def invert(crossing):
             return structure.side_gluing[crossing][:2]
 
+        # the link graph: its vertices are the edge-class ends at the cusp,
+        # and the side of corner triangle (t, v) in face f joins the ends of
+        # edges (v, w) for the two w outside {v, f}.  Past a spanning tree
+        # of the vertices, taken by Kruskal from the last cotree side down,
+        # the two cotree sides that close a cycle are the lex-least pair
+        # whose cycles generate H1 of the torus (tree-cotree decomposition)
         cotree = structure.cotree_sides()
-        cindex = {side: k for k, side in enumerate(cotree)}
+        root = {}
 
-        # one relation among the cotree cycles per edge-class end at the
-        # cusp: going once around the end crosses the edge's pivot faces
-        rows = []
-        for e in self.skeleton.edge_classes:
-            t0, ab0 = e.corners[0]
-            for end in (0, 1):
-                if self.vertex_of_end(t0, ab0[end]) != vertex:
-                    continue
-                row = [0] * len(cotree)
-                for (t, ab), pivot in zip(e.corners, e.pivots):
-                    key = ((t, ab[end]), pivot)
-                    lo, hi = sorted((key, invert(key)))
-                    k = cindex.get((lo, hi))
-                    if k is not None:
-                        row[k] += 1 if key == lo else -1
-                rows.append(row)
+        def find(end):
+            while root.get(end, end) != end:
+                end = root[end]
+            return end
 
-        # the lex-least pair of cotree cycles generating H1 = Z^2: the
-        # cokernel of the rows must have moduli (0, 0), and the pair's
-        # columns in its two coordinates determinant +-1
-        c = len(cotree)
-        coordinates, moduli = cokernel(rows, c)
-        chosen = None
-        if moduli == (0, 0):
-            x, y = coordinates
-            chosen = next(((i, j) for i in range(c) for j in range(i + 1, c)
-                           if abs(x[i] * y[j] - x[j] * y[i]) == 1), None)
-        if chosen is None:
+        closing = []
+        for k in reversed(range(len(cotree))):
+            (t, v), f = cotree[k][0]
+            x, y = (find(self.skeleton.edge_lookup[(t, v, w)])
+                    for w in range(4) if w != v and w != f)
+            if x == y:
+                closing.append(k)
+            else:
+                root[x] = y
+        if len(closing) != 2:
             raise ValueError("no pair of cotree cycles generates the link "
                              "homology (vertex %d)" % vertex)
 
         words = []
         curves = []
-        for k in chosen:
+        for k in reversed(closing):
             lo, hi = cotree[k]
             crossings = (structure.path_crossings(lo[0]) + [lo]
                          + [invert(x) for x in

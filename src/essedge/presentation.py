@@ -1,16 +1,13 @@
 """
 Words and finite presentations.  A word is a tuple of nonzero ints, letter
 +-(g+1) standing for generator g or its inverse.  Free reduction is the
-only normalisation ever applied implicitly.  A presentation's
-abelianisation is `snf.cokernel` of its relator matrix, the one SNF
-cokernel routine, which the peripheral choice of a cusp also reads.  The
-group decider and certification need no SNF: they compare exponent
-vectors modulo lattices (`decide.exponent_lattice`).
+only normalisation ever applied implicitly.  A word's image in the
+abelianisation is its exponent vector modulo the relator lattice
+(`snf.lattice_remainder`), as the group decider and certification compare
+them (`decide.exponent_lattice`).  Only `homology`'s invariant factors
+take a Smith normal form.
 """
-from functools import cached_property
-from operator import mul
-
-from .snf import cokernel
+from .snf import abelian_invariants, lattice_echelon, lattice_remainder
 
 
 def free_reduce(letters):
@@ -87,12 +84,6 @@ class Presentation:
     def relator_matrix(self):
         return [self.exponent_vector(r) for r in self.relators]
 
-    @cached_property
-    def abelianization(self):
-        """H1 in coordinates: the cokernel (rows of U, moduli d) of the
-        relator matrix."""
-        return cokernel(self.relator_matrix(), self.generator_count)
-
     def __repr__(self):
         return "Presentation(%d generators | %s)" % (
             self.generator_count,
@@ -101,17 +92,18 @@ class Presentation:
 
 def homology(presentation):
     """Smith invariants of the abelianised presentation: torsion factors
-    then one 0 per free factor, the moduli of its abelianisation."""
-    return presentation.abelianization[1]
+    then one 0 per free factor."""
+    return abelian_invariants(presentation.relator_matrix(),
+                              presentation.generator_count)
 
 
 def word_image(presentation, word):
-    """Image of a word in the abelianisation, reduced to a canonical tuple
-    (zero exactly for words trivial in the abelianisation)."""
-    v = presentation.exponent_vector(word)
-    coordinates, moduli = presentation.abelianization
-    return tuple(c % d if d else c for c, d in zip(
-        (sum(map(mul, row, v)) for row in coordinates), moduli))
+    """Image of a word in the abelianisation: its exponent vector modulo
+    the relator lattice, one canonical tuple per class (zero exactly for
+    words trivial in the abelianisation)."""
+    basis = lattice_echelon(presentation.relator_matrix(),
+                            presentation.generator_count)
+    return lattice_remainder(basis, presentation.exponent_vector(word))
 
 
 def simplify_presentation(presentation, budget=1000):

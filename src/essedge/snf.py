@@ -1,7 +1,14 @@
 """
 Integer matrix normal forms: Smith normal form with transforms, abelian
 group invariants, integer linear solving and homology of short chain
-complexes.  Matrices are lists of row lists of Python ints.
+complexes; echelon bases of integer lattices with canonical remainders
+modulo them.  Matrices are lists of row lists of Python ints.
+
+The Smith normal form serves only abelian invariants
+(`presentation.homology`) and chain-complex homology.  Certification
+takes none: it compares exponent vectors by their remainders modulo
+echelon lattices, and reads a cusp's peripheral pair off its link graph
+(`fundamental.SpineData`).
 """
 
 
@@ -203,18 +210,6 @@ def in_column_span(columns, target):
     """Whether target lies in the integer span of the given column vectors."""
     return not any(lattice_remainder(lattice_echelon(columns, len(target)),
                                      target))
-
-
-def cokernel(rel_matrix, ngens):
-    """Z^ngens modulo the rows of rel_matrix, from one Smith normal form
-    U Mt V = D of the transposed matrix: (rows of U, moduli d), d = 0 for a
-    free summand.  v lies in the row space exactly when each (U v)_i is a
-    multiple of d_i, so coordinates of modulus 1 are dropped."""
-    d, U, _ = smith_normal_form([[r[g] for r in rel_matrix]
-                                 for g in range(ngens)])
-    d += [0] * (ngens - len(d))
-    kept = [i for i in range(ngens) if d[i] != 1]
-    return tuple(tuple(U[i]) for i in kept), tuple(d[i] for i in kept)
 
 
 def homology_invariants(d1, d2, n1):

@@ -93,8 +93,10 @@ def cokernel_reducer(rel_matrix, ngens):
     """
     A reference reduction map for Z^ngens / rowspace(rel_matrix): takes an
     exponent vector to a canonical tuple that is zero exactly on the row
-    space.  No library code calls it: it is the reference the tests hold
-    `snf.cokernel` and the abelianisation to.
+    space, and equal exactly on vectors that differ by a row-space vector.
+    No library code calls it: it is the reference, by a Smith normal form,
+    that the tests hold `presentation.word_image` and its lattice
+    remainders to.
     """
     rel_matrix = [r for r in rel_matrix if any(r)]
     if not rel_matrix:

@@ -1,6 +1,5 @@
 import sys
 from collections import Counter
-from functools import cached_property
 
 import pytest
 
@@ -10,12 +9,15 @@ import essedge.develop
 import essedge.fundamental
 import essedge.linprog
 import essedge.shapes
-from essedge import (Presentation, ShapeAssignment, Triangulation,
-                     build_skeleton, parse_triangulation)
+import essedge.snf
+from essedge import (ShapeAssignment, Triangulation, build_skeleton,
+                     parse_triangulation)
 from essedge.certify import (certify_essential, certify_strongly_essential,
                              CertifyError)
 from essedge.decide import Budget
+from essedge.fundamental import presentation_spine
 from essedge.moves import pillow_0_2
+from essedge.presentation import homology
 from conftest import fixture_text
 
 
@@ -177,21 +179,15 @@ def test_one_angle_lp_per_certification(monkeypatch, m136_shapes):
     assert calls == {"solve_lp": 1, "solve_angle_lp": 2}
 
 
-def test_no_abelianisation_in_certification(monkeypatch):
-    """A pillow certification at the A5 budget asks many abelian questions,
-    of edges and pairs alike, and answers every one on exponent vectors:
-    it never computes the presentation's abelianisation, a Smith normal
-    form of the relator matrix."""
+def test_no_abelianisation_in_certification(monkeypatch, m136_shapes):
+    """Certification never takes a Smith normal form.  A pillow output at
+    the A5 budget asks many abelian questions, of edges and pairs alike,
+    and answers every one on exponent vectors; m136 with its shapes reads
+    its cusp's peripheral pair off the link graph; closed q8 asks its
+    group questions under every method.  The spy does count the Smith
+    normal form that `homology` takes."""
     calls = Counter()
-    derive = Presentation.abelianization.func
-
-    def counted(self):
-        calls["abelianization"] += 1
-        return derive(self)
-
-    spy = cached_property(counted)
-    spy.__set_name__(Presentation, "abelianization")
-    monkeypatch.setattr(Presentation, "abelianization", spy)
+    _count_calls(monkeypatch, essedge.snf.smith_normal_form, calls)
     _count_calls(monkeypatch, essedge.decide.abelian_separation, calls)
     m136 = parse_triangulation(fixture_text("m136.tri"))
     pillow, _ = pillow_0_2(m136, 2, (3, 4))
@@ -199,8 +195,14 @@ def test_no_abelianisation_in_certification(monkeypatch):
                     quotient_nodes=100, factor_depth=3, factor_nodes=200)
     certify_strongly_essential(pillow, budget,
                                methods=("angle", "homology", "group"))
-    assert calls["abelianization"] == 0
     assert calls["abelian_separation"] > 1
+    verdict = certify_strongly_essential(m136, shapes=m136_shapes)
+    assert verdict.strongly_essential == "yes"
+    q8 = parse_triangulation(fixture_text("q8.tri"))
+    assert certify_strongly_essential(q8).strongly_essential == "yes"
+    assert calls["smith_normal_form"] == 0
+    assert homology(presentation_spine(m136)) == (2, 2, 0)
+    assert calls["smith_normal_form"] == 1
 
 
 def test_group_searches_built_once_per_certification(monkeypatch):

@@ -66,6 +66,20 @@ def test_angles_strict_exit(m136_path, fig8_path, capsys):
     capsys.readouterr()
 
 
+def test_angles_strict_without_solution(tmp_path, capsys):
+    """q8 has no solution of the angle equations at all: the text says so
+    rather than print an optimum, and the JSON form carries none."""
+    path = tmp_path / "q8.tri"
+    path.write_text(fixture_text("q8.tri"))
+    assert main(["angles", "--strict", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.strip() == (
+        "strict: infeasible (the angle equations have no solution)")
+    assert main(["--json", "angles", "--strict", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"mode": "strict",
+                                                   "status": "infeasible"}
+
+
 def test_angles_semi(m136_path, tmp_path, capsys):
     """The semi witness is the strict LP's optimal vertex: it satisfies the
     angle equations exactly with every entry >= 0, and the payload carries

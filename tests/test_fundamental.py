@@ -4,17 +4,19 @@ from itertools import product
 
 import pytest
 
-from essedge import Triangulation, build_skeleton
+from essedge import Triangulation, build_skeleton, parse_table
 from essedge.skeleton import LinkStructure
 from essedge.fundamental import (SpineData, presentation_closed,
                                  presentation_spine, peripheral_words)
 from essedge.presentation import (homology, word_image, concat, inverse_word,
                                   cyclic_reduce)
 from essedge.decide import decide_word
-from essedge.moves import MoveError, pachner_2_3
+from essedge.moves import MoveError, pachner_2_3, pachner_3_2
+from essedge.snf import smith_normal_form
 
 from conftest import primal_h1, dual_h1
-from test_random_properties import (_pillow_outputs,
+from test_random_properties import (SEARCHED_TABLES, _ideal_neighbours,
+                                    _pillow_outputs,
                                     random_closed_triangulation)
 
 
@@ -78,8 +80,8 @@ def test_rotation_loops_read_edge_relators(fig8, m136):
     """Going once around a link corner crosses exactly the faces around
     the corresponding edge, so the crossing word is the edge relator up to
     rotation and inversion: on every torus link of fig8, m136 and the 123
-    pillow outputs of m136.  The peripheral relations read one such loop
-    off each edge class."""
+    pillow outputs of m136.  Each such loop goes once around a link vertex,
+    the edge-class end that the peripheral pass reads."""
     pillows = list(_pillow_outputs(m136))
     assert len(pillows) == 123
     for tri in [fig8, m136] + pillows:
@@ -304,20 +306,105 @@ def test_parallel_word_invariance_under_connector_choice(m136_skeleton):
     assert len(definite) <= 1
 
 
-@pytest.mark.parametrize("extra", [(1,), (2,)])
+def _reference_pair(skeleton, vertex):
+    """The lex-least pair of cotree sides whose cycles generate H1 of the
+    torus link at vertex, by the Smith normal form.  One row per edge-class
+    end at the cusp lists the cotree sides crossed going once around it
+    (walked along the edge's pivots), so the rows are the link graph's
+    signed vertex-side incidence; the pair must complete the row lattice to
+    Z^c: the cokernel is Z^2 and the pair's columns in it have determinant
+    +-1."""
+    structure = skeleton.vertex_links[vertex].structure
+    cotree = structure.cotree_sides()
+    cindex = {side: k for k, side in enumerate(cotree)}
+    c = len(cotree)
+    rows = []
+    for e in skeleton.edge_classes:
+        t0, ab0 = e.corners[0]
+        for end in (0, 1):
+            if skeleton.vertex_of[(t0, ab0[end])] != vertex:
+                continue
+            row = [0] * c
+            for (t, ab), pivot in zip(e.corners, e.pivots):
+                key = ((t, ab[end]), pivot)
+                lo, hi = sorted((key, structure.side_gluing[key][:2]))
+                k = cindex.get((lo, hi))
+                if k is not None:
+                    row[k] += 1 if key == lo else -1
+            rows.append(row)
+    d, U, _ = smith_normal_form([[r[g] for r in rows] for g in range(c)])
+    d += [0] * (c - len(d))
+    assert [m for m in d if m != 1] == [0, 0]
+    x, y = (U[i] for i in range(c) if d[i] != 1)
+    return next((i, j) for i in range(c) for j in range(i + 1, c)
+                if abs(x[i] * y[j] - x[j] * y[i]) == 1)
+
+
+def _chosen_pair(spine, vertex):
+    """The cotree sides of the peripheral pair, read off its curves: each
+    curve crosses its own cotree side and otherwise only tree sides."""
+    structure = spine.skeleton.vertex_links[vertex].structure
+    lows = {lo: k for k, (lo, _hi) in enumerate(structure.cotree_sides())}
+    pair = []
+    for curve in spine.peripheral(vertex).curves:
+        (k,) = [lows[x] for x in curve if x in lows]
+        pair.append(k)
+    return tuple(pair)
+
+
+def test_peripheral_pair_is_the_smith_reference(m136, fig8):
+    """Every pair that generates the cusp's H1 gives the same subgroup and
+    verdicts, so only this test guards the choice.  On every torus cusp of
+    the fixtures, the 123 pillow outputs of m136, the searched tables with
+    their 2-3/3-2 neighbours and the states of a seeded ideal 2-3/3-2 walk
+    from m136, the link-graph pass picks the reference pair."""
+    pillows = list(_pillow_outputs(m136))
+    assert len(pillows) == 123
+    searched = [parse_table(text) for text in SEARCHED_TABLES]
+    searched += [moved for tri in searched for moved in _ideal_neighbours(tri)]
+    walk, tri, rng = [], m136, random.Random(7)
+    while len(walk) < 30:
+        skeleton = build_skeleton(tri)
+        move, sites = rng.choice(((pachner_2_3, skeleton.face_classes),
+                                  (pachner_3_2, skeleton.edge_classes)))
+        try:
+            tri = move(tri, rng.choice(sites).index, skeleton)[0]
+        except MoveError:
+            continue
+        if tri.tet_count > 8:
+            tri = m136
+        walk.append(tri)
+    cusps = two_cusped = 0
+    for tri in [m136, fig8] + pillows + searched + walk:
+        skeleton = build_skeleton(tri)
+        spine = SpineData(skeleton)
+        torus = [v for v, link in enumerate(skeleton.vertex_links)
+                 if link.surface_kind == "torus"]
+        for vertex in torus:
+            assert (_chosen_pair(spine, vertex)
+                    == _reference_pair(skeleton, vertex))
+        cusps += len(torus)
+        two_cusped += len(torus) == 2
+    assert cusps > 200 and two_cusped > 0
+
+
+@pytest.mark.parametrize("change", ["drop", "repeat"])
 def test_peripheral_needs_link_homology_free_of_rank_two(
-        monkeypatch, m136_skeleton, extra):
-    """The peripheral pair is read in the cokernel of the link's corner
-    rotation rows, which must be Z^2.  One more relation on the first
-    cotree cycle, which generates a summand of it, leaves Z (rank 1) or
-    Z + Z/2 (torsion), and both are rejected."""
-    import essedge.fundamental
-    cokernel = essedge.fundamental.cokernel
+        monkeypatch, m136_skeleton, change):
+    """Past a spanning tree of the link's vertices, exactly two cotree
+    sides close a cycle, as H1 of the torus link is Z^2.  Dropping the
+    first side of the pair leaves one, and repeating it makes three: both
+    are rejected."""
+    first, _ = _reference_pair(m136_skeleton, 0)
+    assert _chosen_pair(SpineData(m136_skeleton), 0)[0] == first
+    cotree_sides = LinkStructure.cotree_sides
 
-    def with_extra_row(rows, c):
-        return cokernel(rows + [list(extra) + [0] * (c - 1)], c)
+    def changed(self):
+        sides = cotree_sides(self)
+        if change == "drop":
+            return sides[:first] + sides[first + 1:]
+        return sides[:first + 1] + sides[first:]
 
-    assert SpineData(m136_skeleton).peripheral(0).words
-    monkeypatch.setattr(essedge.fundamental, "cokernel", with_extra_row)
+    monkeypatch.setattr(LinkStructure, "cotree_sides", changed)
     with pytest.raises(ValueError):
         SpineData(m136_skeleton).peripheral(0)

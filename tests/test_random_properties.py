@@ -212,7 +212,8 @@ def test_one_lp_and_one_abelianisation_match_references(corpus, m136, fig8,
     corpus: semi feasibility is the feasibility of the angle equations,
     strict status and optimum are the strict LP's own, homology matches
     the Smith invariants of the relator matrix, and word images vanish on
-    the words the reference cokernel reduction sends to zero."""
+    the words the reference cokernel reduction sends to zero, two words
+    having equal images exactly when the reference reduces them alike."""
     pillows = list(_pillow_outputs(m136))
     assert len(pillows) == 123
     rng = random.Random(5)
@@ -236,9 +237,15 @@ def test_one_lp_and_one_abelianisation_match_references(corpus, m136, fig8,
         probes += [tuple(rng.choice([-1, 1]) * rng.randint(1, n)
                          for _ in range(rng.randint(1, 8)))
                    for _ in range(8 if n else 0)]
+        pairs = set()
         for w in probes:
-            assert (any(word_image(pres, w))
-                    == any(reduce_vec(pres.exponent_vector(w))))
+            image = word_image(pres, w)
+            reduced = reduce_vec(pres.exponent_vector(w))
+            assert any(image) == any(reduced)
+            pairs.add((image, reduced))
+        # equal images exactly when equal reductions
+        assert (len({image for image, _ in pairs}) == len(pairs)
+                == len({reduced for _, reduced in pairs}))
 
 
 # ideal triangulations with torus cusps from a seeded random search over
